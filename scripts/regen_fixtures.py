@@ -15,22 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from faultlines.cfg import build_cfg, to_dsa  # noqa: E402
-from faultlines.explorer import Counterexample, ExplorerConfig, run  # noqa: E402
+from faultlines.cli import config_from_args  # noqa: E402
+from faultlines.explorer import Counterexample, run  # noqa: E402
 from faultlines.frontend import parse_program  # noqa: E402
-from faultlines.mcs import McsConfig  # noqa: E402
 from faultlines.report import render_json, render_text  # noqa: E402
-from faultlines.solver import DomainConfig  # noqa: E402
-
-
-def config_from_args(args: list) -> ExplorerConfig:
-    flags = dict(zip(args[::2], args[1::2]))
-    return ExplorerConfig(
-        b_cond=int(flags.get("--bcond", 2)),
-        mcs=McsConfig(
-            b_mcs=int(flags.get("--bmcs", 3)), k_max=int(flags.get("--kmax", 2))
-        ),
-        dom=DomainConfig(),
-    )
 
 
 def main() -> None:

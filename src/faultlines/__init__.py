@@ -36,9 +36,9 @@ from .formulas import (
     negate,
 )
 from .frontend import Diagnostic, Function, SourceLoc, interpret, parse_program, pretty, typecheck
-from .mcs import Mcs, McsConfig, McsResult, bruteforce_mcs, enumerate_mcs
+from .mcs import Mcs, McsConfig, McsResult, enumerate_mcs
 from .report import render_json, render_text, report_document
-from .solver import UNSAT, DomainConfig, Sat, Selector, Solver, new_solver
+from .solver import UNSAT, DomainConfig, Sat, Selector, Solver
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "SsaName",
     "UNSAT",
     "assign_to_constraint",
-    "bruteforce_mcs",
     "build_cfg",
     "diagnose_deviation",
     "diagnose_initial",
@@ -79,7 +78,6 @@ __all__ = [
     "eval_formula",
     "interpret",
     "negate",
-    "new_solver",
     "parse_program",
     "path_satisfies_post",
     "pretty",

@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .formulas import Formula, SsaName, bool_expr_to_formula
+from .formulas import (
+    Formula,
+    SsaName,
+    assign_to_constraint,
+    bool_expr_to_formula,
+    linterm_from_expr,
+)
 from .frontend import (
     Add,
     Assign,
@@ -133,32 +139,39 @@ class CfgError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _ssa0_expr(e: Expr) -> Expr:
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, VarRef):
-        return VarRef(SsaName(e.name, 0), e.loc)
-    if isinstance(e, Neg):
-        return Neg(_ssa0_expr(e.operand), e.loc)
-    if isinstance(e, Add):
-        return Add(_ssa0_expr(e.lhs), _ssa0_expr(e.rhs), e.loc)
-    if isinstance(e, Sub):
-        return Sub(_ssa0_expr(e.lhs), _ssa0_expr(e.rhs), e.loc)
-    if isinstance(e, Mul):
-        return Mul(_ssa0_expr(e.lhs), _ssa0_expr(e.rhs), e.loc)
-    raise CfgError(f"unsupported expression in body: {e!r}")
+def _rename(node, var, result: Optional[SsaName] = None):
+    """Copy an expression or condition, mapping each VarRef name by `var`.
+
+    `result` is the name `\\result` stands for; it is given only for the
+    postcondition, the one place where `\\result` and `==>` may occur.
+    """
+    if isinstance(node, IntLit):
+        return node
+    if isinstance(node, VarRef):
+        return VarRef(var(node.name), node.loc)
+    if isinstance(node, ResultRef) and result is not None:
+        return VarRef(result, node.loc)
+    if isinstance(node, Implies) and result is not None:
+        return Implies(
+            _rename(node.antecedent, var, result),
+            _rename(node.consequent, var, result),
+            node.loc,
+        )
+    if isinstance(node, (Neg, BoolNot)):
+        return type(node)(_rename(node.operand, var, result), node.loc)
+    if isinstance(node, (Add, Sub, Mul, BoolAnd, BoolOr)):
+        return type(node)(
+            _rename(node.lhs, var, result), _rename(node.rhs, var, result), node.loc
+        )
+    if isinstance(node, Cmp):
+        return Cmp(
+            node.op, _rename(node.lhs, var, result), _rename(node.rhs, var, result), node.loc
+        )
+    raise CfgError(f"unsupported expression: {node!r}")
 
 
-def _ssa0_bool(b: BoolExpr) -> BoolExpr:
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _ssa0_expr(b.lhs), _ssa0_expr(b.rhs), b.loc)
-    if isinstance(b, BoolAnd):
-        return BoolAnd(_ssa0_bool(b.lhs), _ssa0_bool(b.rhs), b.loc)
-    if isinstance(b, BoolOr):
-        return BoolOr(_ssa0_bool(b.lhs), _ssa0_bool(b.rhs), b.loc)
-    if isinstance(b, BoolNot):
-        return BoolNot(_ssa0_bool(b.operand), b.loc)
-    raise CfgError(f"unsupported guard: {b!r}")
+def _version0(name: str) -> SsaName:
+    return SsaName(name, 0)
 
 
 class _Builder:
@@ -210,14 +223,13 @@ class _Builder:
         for s in stmts:
             if isinstance(s, Decl):
                 if s.init is not None:
-                    pending.append(
-                        Assignment(SsaName(s.name, 0), _ssa0_expr(s.init), s.loc, init=True)
-                    )
+                    init = _rename(s.init, _version0)
+                    pending.append(Assignment(SsaName(s.name, 0), init, s.loc, init=True))
             elif isinstance(s, Assign):
-                pending.append(Assignment(SsaName(s.target, 0), _ssa0_expr(s.rhs), s.loc))
+                pending.append(Assignment(SsaName(s.target, 0), _rename(s.rhs, _version0), s.loc))
             elif isinstance(s, If):
                 attach = flush(attach)
-                d = self.new_decision(_ssa0_bool(s.cond), s.loc)
+                d = self.new_decision(_rename(s.cond, _version0), s.loc)
                 self.link(attach[0], attach[1], d)
                 t_at = self.seq(s.then_body, (d, THEN))
                 e_at = self.seq(s.else_body, (d, ELSE))
@@ -231,7 +243,7 @@ class _Builder:
                 else:
                     self.result_var = RESULT_VAR
                     pending.append(
-                        Assignment(SsaName(RESULT_VAR, 0), _ssa0_expr(s.expr), s.loc)
+                        Assignment(SsaName(RESULT_VAR, 0), _rename(s.expr, _version0), s.loc)
                     )
                 self.return_loc = s.loc
                 attach = flush(attach)
@@ -319,67 +331,9 @@ def _ipostdom(cfg: Cfg, pd: dict, decision_id: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rename_expr(e: Expr, env: dict) -> Expr:
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, VarRef):
-        base = e.name.base
-        return VarRef(SsaName(base, env.get(base, 0)), e.loc)
-    if isinstance(e, Neg):
-        return Neg(_rename_expr(e.operand, env), e.loc)
-    if isinstance(e, Add):
-        return Add(_rename_expr(e.lhs, env), _rename_expr(e.rhs, env), e.loc)
-    if isinstance(e, Sub):
-        return Sub(_rename_expr(e.lhs, env), _rename_expr(e.rhs, env), e.loc)
-    if isinstance(e, Mul):
-        return Mul(_rename_expr(e.lhs, env), _rename_expr(e.rhs, env), e.loc)
-    raise CfgError(f"unsupported expression: {e!r}")
-
-
-def _rename_bool(b: BoolExpr, env: dict) -> BoolExpr:
-    if isinstance(b, Cmp):
-        return Cmp(b.op, _rename_expr(b.lhs, env), _rename_expr(b.rhs, env), b.loc)
-    if isinstance(b, BoolAnd):
-        return BoolAnd(_rename_bool(b.lhs, env), _rename_bool(b.rhs, env), b.loc)
-    if isinstance(b, BoolOr):
-        return BoolOr(_rename_bool(b.lhs, env), _rename_bool(b.rhs, env), b.loc)
-    if isinstance(b, BoolNot):
-        return BoolNot(_rename_bool(b.operand, env), b.loc)
-    raise CfgError(f"unsupported guard: {b!r}")
-
-
-def _rewrite_post(b: BoolExpr, result_name: SsaName) -> BoolExpr:
-    def rw_expr(e: Expr) -> Expr:
-        if isinstance(e, IntLit):
-            return e
-        if isinstance(e, VarRef):
-            return VarRef(SsaName(e.name, 0), e.loc)
-        if isinstance(e, ResultRef):
-            return VarRef(result_name, e.loc)
-        if isinstance(e, Neg):
-            return Neg(rw_expr(e.operand), e.loc)
-        if isinstance(e, Add):
-            return Add(rw_expr(e.lhs), rw_expr(e.rhs), e.loc)
-        if isinstance(e, Sub):
-            return Sub(rw_expr(e.lhs), rw_expr(e.rhs), e.loc)
-        if isinstance(e, Mul):
-            return Mul(rw_expr(e.lhs), rw_expr(e.rhs), e.loc)
-        raise CfgError(f"unsupported annotation expression: {e!r}")
-
-    def rw(x: BoolExpr) -> BoolExpr:
-        if isinstance(x, Cmp):
-            return Cmp(x.op, rw_expr(x.lhs), rw_expr(x.rhs), x.loc)
-        if isinstance(x, BoolAnd):
-            return BoolAnd(rw(x.lhs), rw(x.rhs), x.loc)
-        if isinstance(x, BoolOr):
-            return BoolOr(rw(x.lhs), rw(x.rhs), x.loc)
-        if isinstance(x, BoolNot):
-            return BoolNot(rw(x.operand), x.loc)
-        if isinstance(x, Implies):
-            return Implies(rw(x.antecedent), rw(x.consequent), x.loc)
-        raise CfgError(f"unsupported annotation: {x!r}")
-
-    return rw(b)
+def _current(env: dict):
+    """Map a name to its latest version in `env` (0 when never assigned)."""
+    return lambda name: SsaName(name.base, env.get(name.base, 0))
 
 
 class _DsaWalker:
@@ -414,7 +368,7 @@ class _DsaWalker:
             elif isinstance(node, Block):
                 new_assignments = []
                 for a in node.assignments:
-                    rhs2 = _rename_expr(a.rhs, env)
+                    rhs2 = _rename(a.rhs, _current(env))
                     base = a.target.base
                     version = 0 if a.init else env.get(base, 0) + 1
                     env[base] = version
@@ -430,7 +384,7 @@ class _DsaWalker:
                     )
                 self.nodes[nid] = Block(nid, new_assignments)
             elif isinstance(node, Decision):
-                guard2 = _rename_bool(node.guard, env)
+                guard2 = _rename(node.guard, _current(env))
                 self.nodes[nid] = Decision(nid, guard2, node.loc)
                 self.decision_order.append(nid)
                 join = _ipostdom(self.g, self.pd, nid)
@@ -500,7 +454,7 @@ def to_dsa(g: Cfg) -> Cfg:
     env: dict = {p: 0 for p in g.params}
     w.walk(g.entry, env, until=None)
     result_name = SsaName(g.result_var, env.get(g.result_var, 0))
-    post = _rewrite_post(g.raw_postcondition, result_name)
+    post = _rename(g.raw_postcondition, _version0, result_name)
     return Cfg(
         name=g.name,
         params=g.params,
@@ -539,6 +493,18 @@ def post_formula(cfg: Cfg) -> Formula:
     if "post" not in cfg._formula_cache:
         cfg._formula_cache["post"] = bool_expr_to_formula(cfg.postcondition)
     return cfg._formula_cache["post"]
+
+
+def assignment_constraints(cfg: Cfg) -> dict:
+    """cid -> soft Constraint for every block assignment of a DSA graph."""
+    if not cfg.is_dsa:
+        raise CfgError("assignment constraints require a DSA-form graph")
+    if "assignments" not in cfg._formula_cache:
+        cfg._formula_cache["assignments"] = {
+            a.cid: assign_to_constraint(a.target, a.rhs, a.loc, a.synthetic, a.cid)
+            for a in iter_assignments(cfg)
+        }
+    return cfg._formula_cache["assignments"]
 
 
 def iter_assignments(cfg: Cfg):
@@ -585,8 +551,6 @@ def _esc(s: str) -> str:
 
 def render_dot(cfg: Cfg) -> str:
     """Graphviz rendering; node labels carry constraint text and lines."""
-    from .formulas import linterm_from_expr
-
     lines = [f'digraph "{_esc(cfg.name)}" {{', "  node [shape=box];"]
     for nid in sorted(cfg.nodes):
         node = cfg.nodes[nid]

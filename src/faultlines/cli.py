@@ -1,12 +1,16 @@
 """Command-line entry point.
 
     faultlines run PROGRAM [--in NAME=INT ...] [--ce-file FILE]
-                   [--bcond N] [--bmcs N] [--kmax N] [--domain LO:HI]
+                   [--bcond N] [--bmcs N] [--kmax N] [--domain=LO:HI]
                    [--format text|json] [--dot FILE] [--no-incremental]
 
+Write the domain as `--domain=LO:HI`: in `--domain -8:8` argparse takes
+`-8:8` for an option because it starts with a dash.
+
 Exit codes: 0 report produced; 1 file/parse/typecheck failure
-(diagnostics on stderr); 2 usage error; 3 the counterexample does not
-violate the postcondition (nothing to localize).
+(diagnostics on stderr); 2 usage error, including a failing run whose
+inputs or computed values leave the `--domain` box; 3 the counterexample
+does not violate the postcondition (nothing to localize).
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ import json
 import sys
 
 from .cfg import build_cfg, render_dot, to_dsa
-from .explorer import Counterexample, ExplorerConfig, ExplorerError, NothingToLocalizeError, run
+from .explorer import (
+    Counterexample,
+    ExplorerConfig,
+    ExplorerError,
+    NothingToLocalizeError,
+    OverflowAbandonedError,
+    run,
+)
 from .frontend import FrontendError, interpret, parse_program, typecheck
 from .mcs import McsConfig
 from .report import render_json, render_text
@@ -72,7 +83,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     runp.add_argument("--bmcs", type=_positive, default=3, help="max MCSs per path")
     runp.add_argument("--kmax", type=_positive, default=2, help="max MCS cardinality")
     runp.add_argument(
-        "--domain", type=_domain, default=DomainConfig(), help="variable bounds LO:HI"
+        "--domain",
+        type=_domain,
+        default=DomainConfig(),
+        metavar="LO:HI",
+        help="variable bounds; write --domain=LO:HI when LO is negative",
     )
     runp.add_argument("--format", choices=("text", "json"), default="text")
     runp.add_argument("--dot", help="also dump the DSA control-flow graph to this file")
@@ -82,6 +97,23 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="use a fresh solver per diagnosed path (identical diagnoses)",
     )
     return parser
+
+
+def _explorer_config(args) -> ExplorerConfig:
+    return ExplorerConfig(
+        b_cond=args.bcond,
+        mcs=McsConfig(b_mcs=args.bmcs, k_max=args.kmax),
+        dom=args.domain,
+    )
+
+
+def config_from_args(flags) -> ExplorerConfig:
+    """The ExplorerConfig that `faultlines run` builds from these flags.
+
+    Flags are validated as on the command line: a bad value raises
+    SystemExit with the usage exit code.
+    """
+    return _explorer_config(_build_arg_parser().parse_args(["run", "-", *flags]))
 
 
 def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
@@ -157,16 +189,14 @@ def main(argv=None) -> int:
             print(f"error: cannot write DOT file: {e}", file=sys.stderr)
             return EXIT_INPUT_ERROR
 
-    config = ExplorerConfig(
-        b_cond=args.bcond,
-        mcs=McsConfig(b_mcs=args.bmcs, k_max=args.kmax),
-        dom=args.domain,
-    )
     try:
-        report = run(graph, ce, config, incremental=not args.no_incremental)
+        report = run(graph, ce, _explorer_config(args), incremental=not args.no_incremental)
     except NothingToLocalizeError:
         print("error: counterexample does not violate the postcondition", file=sys.stderr)
         return EXIT_NOT_A_COUNTEREXAMPLE
+    except OverflowAbandonedError as e:
+        print(f"error: {e}; widen --domain", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.format == "json":
         sys.stdout.buffer.write(render_json(report))

@@ -32,11 +32,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .cfg import Block, Cfg, Decision, Entry, Exit, THEN, ELSE, guard_formula, post_formula
+from .cfg import (
+    ELSE,
+    THEN,
+    Block,
+    Cfg,
+    Decision,
+    Entry,
+    Exit,
+    assignment_constraints,
+    guard_formula,
+    post_formula,
+)
 from .formulas import (
     Atom,
     Constraint,
     ConstraintKind,
+    ConstraintSet,
     LinTerm,
     SsaName,
     eval_formula,
@@ -169,35 +181,8 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _templates(cfg: Cfg) -> dict:
-    """cid -> Constraint for every block assignment of a DSA graph."""
-    cache = cfg._formula_cache
-    if "templates" not in cache:
-        if not cfg.is_dsa:
-            raise ExplorerError("exploration requires a DSA-form graph")
-        from .formulas import linterm_from_expr
-
-        out = {}
-        for nid, node in cfg.nodes.items():
-            if isinstance(node, Block):
-                for a in node.assignments:
-                    kind = (
-                        ConstraintKind.SYNTHETIC_COPY
-                        if a.synthetic
-                        else ConstraintKind.ASSIGNMENT
-                    )
-                    out[a.cid] = Constraint(
-                        a.cid,
-                        Atom("==", LinTerm.var(a.target), linterm_from_expr(a.rhs)),
-                        kind,
-                        a.loc,
-                    )
-        cache["templates"] = out
-    return cache["templates"]
-
-
 def _id_base(cfg: Cfg) -> int:
-    t = _templates(cfg)
+    t = assignment_constraints(cfg)
     return (max(t) + 1) if t else 0
 
 
@@ -238,7 +223,7 @@ def propagate(
     escapes the domain box.
     """
     deviations = frozenset(deviations)
-    templates = _templates(cfg)
+    templates = assignment_constraints(cfg)
     model = {SsaName(name, 0): value for name, value in ce.items}
     for name, value in ce.items:
         if not dom.lo <= value <= dom.hi:
@@ -401,8 +386,6 @@ def diagnose_initial(
 
 
 def _diagnose_initial(trace, cfg, ce, config, backend) -> Diagnosis:
-    from .formulas import ConstraintSet
-
     keys = tuple((s.node, s.taken) for s in trace.decisions)
     hard = input_constraints(cfg, ce) + (postcondition_constraint(cfg, ce),)
     result = backend.enumerate_for(keys, trace.segments, hard[len(ce.items) :], config.mcs)
@@ -419,8 +402,6 @@ def diagnose_deviation(
 
 
 def _diagnose_deviation(trace, cfg, ce, config, backend) -> Diagnosis:
-    from .formulas import ConstraintSet
-
     dev_indices = [i for i, s in enumerate(trace.decisions) if s.deviated]
     if not dev_indices:
         raise ExplorerError("trace has no deviation to diagnose")

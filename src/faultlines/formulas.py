@@ -15,8 +15,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .frontend import (
     Add,
     BoolAnd,
@@ -314,45 +312,6 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     if isinstance(f, BoolConst):
         return f.value
     raise TypeError(f"not a formula: {f!r}")
-
-
-def eval_formula_grid(f: Formula, grids: Mapping[SsaName, np.ndarray]) -> np.ndarray:
-    """Vectorised evaluation over parallel arrays of variable values.
-
-    Used by the exhaustive-enumeration test oracles; all arrays must share
-    one shape and the result is a boolean array of that shape.
-    """
-    if isinstance(f, Atom):
-        def term(t: LinTerm) -> np.ndarray:
-            total = np.full(_grid_shape(grids), t.const, dtype=np.int64)
-            for n, c in t.coeffs:
-                if n not in grids:
-                    raise UnboundVariableError(str(n))
-                total = total + c * grids[n]
-            return total
-
-        return _OP_EVAL[f.op](term(f.lhs), term(f.rhs))
-    if isinstance(f, And):
-        out = np.ones(_grid_shape(grids), dtype=bool)
-        for i in f.items:
-            out &= eval_formula_grid(i, grids)
-        return out
-    if isinstance(f, Or):
-        out = np.zeros(_grid_shape(grids), dtype=bool)
-        for i in f.items:
-            out |= eval_formula_grid(i, grids)
-        return out
-    if isinstance(f, Not):
-        return ~eval_formula_grid(f.item, grids)
-    if isinstance(f, BoolConst):
-        return np.full(_grid_shape(grids), f.value, dtype=bool)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _grid_shape(grids: Mapping[SsaName, np.ndarray]):
-    for v in grids.values():
-        return np.shape(v)
-    return ()
 
 
 def bool_expr_to_formula(b: BoolExpr) -> Formula:

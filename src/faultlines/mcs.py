@@ -11,33 +11,14 @@ enabled, excluding duplicates and supersets).  Each cardinality level is
 exhausted before results are ordered and the `b_mcs` cut is applied, so
 the documented tie-break (latest constraint on the path first) is
 independent of solver search order.
-
-:func:`bruteforce_mcs` is the independent test oracle: exhaustive
-valuation enumeration over the domain box and subset enumeration by
-increasing size.  It shares nothing with the solver path.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .formulas import (
-    Atom,
-    ConstraintSet,
-    LinTerm,
-    disj,
-    eval_formula,
-    eval_formula_grid,
-    formula_vars,
-)
+from .formulas import Atom, ConstraintSet, LinTerm, disj
 from .solver import UNSAT, DomainConfig, Solver
-
-
-class McsUsageError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -168,69 +149,3 @@ def enumerate_mcs(
         solver.assert_hard(c.formula)
     pairs = [(solver.assert_soft(c), c) for c in cs.soft]
     return enumerate_on(solver, pairs, config)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle
-# ---------------------------------------------------------------------------
-
-_MAX_ORACLE_SOFT = 12
-_MAX_GRID_CELLS = 5_000_000
-
-
-def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -> set:
-    """Exhaustive MCS oracle; returns the set of MCSs as id-frozensets.
-
-    Enumerates every valuation of the domain box to decide satisfiability
-    and every soft subset by increasing size.  Guarded to oracle scale
-    (<= 12 soft constraints, small boxes).
-    """
-    if len(cs.soft) > _MAX_ORACLE_SOFT:
-        raise McsUsageError(f"oracle limited to {_MAX_ORACLE_SOFT} soft constraints")
-    n = len(cs.soft)
-    names = sorted(
-        set().union(*(formula_vars(c.formula) for c in cs.hard + cs.soft), set())
-    )
-    width = dom.hi - dom.lo + 1
-    if width ** max(len(names), 1) > _MAX_GRID_CELLS:
-        raise McsUsageError("domain box too large for the exhaustive oracle")
-
-    if names:
-        axes = np.meshgrid(*([np.arange(dom.lo, dom.hi + 1)] * len(names)), indexing="ij")
-        grids = {name: ax.ravel() for name, ax in zip(names, axes)}
-        hard_ok = np.ones(width ** len(names), dtype=bool)
-        for c in cs.hard:
-            hard_ok &= eval_formula_grid(c.formula, grids)
-        packed = np.zeros(width ** len(names), dtype=np.int64)
-        for i, c in enumerate(cs.soft):
-            packed |= eval_formula_grid(c.formula, grids).astype(np.int64) << i
-        masks = set(int(m) for m in np.unique(packed[hard_ok]))
-    else:
-        hard_sat = all(eval_formula(c.formula, {}) for c in cs.hard)
-        if not hard_sat:
-            masks = set()
-        else:
-            bits = 0
-            for i, c in enumerate(cs.soft):
-                if eval_formula(c.formula, {}):
-                    bits |= 1 << i
-            masks = {bits}
-
-    if not masks:
-        return set()  # hard alone unsatisfiable: no removal can help
-    full = (1 << n) - 1
-    if full in masks:
-        return set()  # nothing to correct
-    found_bits: list[int] = []
-    found: set = set()
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            bits = 0
-            for i in subset:
-                bits |= 1 << i
-            if any(f & bits == f for f in found_bits):
-                continue  # superset of an already-found MCS
-            if any(mask | bits == full for mask in masks):
-                found_bits.append(bits)
-                found.add(frozenset(cs.soft[i].id for i in subset))
-    return found

@@ -77,10 +77,6 @@ class Sat:
 UNSAT = None  # check() returns None when no model exists in the box
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -468,10 +464,10 @@ class Solver:
                 if c > 0:
                     if not self._set_lo(i, _ceil_div(a, c)):
                         return False
-                    if not self._set_hi(i, _floor_div(b, c)):
+                    if not self._set_hi(i, b // c):
                         return False
                 else:
-                    if not self._set_hi(i, _floor_div(a, c)):
+                    if not self._set_hi(i, a // c):
                         return False
                     if not self._set_lo(i, _ceil_div(b, c)):
                         return False
@@ -486,7 +482,7 @@ class Solver:
                 others_mn = mn - cmin
                 b = -others_mn  # need c*x <= b
                 if c > 0:
-                    if not self._set_hi(i, _floor_div(b, c)):
+                    if not self._set_hi(i, b // c):
                         return False
                 else:
                     if not self._set_lo(i, _ceil_div(b, c)):
@@ -587,6 +583,3 @@ class Solver:
             self._undo_to(mark)
         return False
 
-
-def new_solver(dom: DomainConfig = DomainConfig()) -> Solver:
-    return Solver(dom)

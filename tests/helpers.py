@@ -2,36 +2,45 @@
 
 The oracles here are deliberately independent of the solver: they decide
 satisfiability by exhaustive valuation enumeration over the domain box
-(vectorised with numpy).
+(vectorised with numpy, which only the tests need).  `bruteforce_mcs` is
+the exhaustive MCS oracle that the MCS enumeration is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from faultlines.cfg import build_cfg, to_dsa
-from faultlines.explorer import Counterexample, ExplorerConfig
+from faultlines.cli import config_from_args  # noqa: F401  (re-exported for the tests)
+from faultlines.explorer import Counterexample
 from faultlines.formulas import (
+    _OP_EVAL,
+    And,
     Atom,
+    BoolConst,
     Constraint,
     ConstraintKind,
     ConstraintSet,
+    Formula,
     LinTerm,
+    Not,
+    Or,
     SsaName,
-    eval_formula_grid,
+    UnboundVariableError,
+    eval_formula,
     formula_vars,
 )
 from faultlines.frontend import Function, parse_program, typecheck
-from faultlines.mcs import McsConfig
 from faultlines.solver import DomainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 DOCS = ROOT / "docs"
-
 
 
 def corpus_manifest() -> dict:
@@ -43,15 +52,6 @@ def corpus_entry(name: str):
     text = (CORPUS / entry["source"]).read_text()
     ce_map = json.loads((CORPUS / entry["ce"]).read_text())
     return text, ce_map, entry
-
-
-def config_from_args(args) -> ExplorerConfig:
-    flags = dict(zip(args[::2], args[1::2]))
-    return ExplorerConfig(
-        b_cond=int(flags.get("--bcond", 2)),
-        mcs=McsConfig(b_mcs=int(flags.get("--bmcs", 3)), k_max=int(flags.get("--kmax", 2))),
-        dom=DomainConfig(),
-    )
 
 
 def compile_source(text: str) -> tuple:
@@ -87,8 +87,6 @@ def exhaustive_sat(formulas, dom: DomainConfig, names=None):
     else:
         names = sorted(names)
     if not names:
-        from faultlines.formulas import eval_formula
-
         return {} if all(eval_formula(f, {}) for f in formulas) else None
     grids = value_grids(names, dom)
     ok = np.ones(next(iter(grids.values())).shape, dtype=bool)
@@ -99,6 +97,116 @@ def exhaustive_sat(formulas, dom: DomainConfig, names=None):
         return None
     i = int(hits[0])
     return {n: int(grids[n][i]) for n in names}
+
+
+def eval_formula_grid(f: Formula, grids: Mapping[SsaName, np.ndarray]) -> np.ndarray:
+    """Vectorised evaluation over parallel arrays of variable values.
+
+    Used by the exhaustive-enumeration test oracles; all arrays must share
+    one shape and the result is a boolean array of that shape.
+    """
+    if isinstance(f, Atom):
+        def term(t: LinTerm) -> np.ndarray:
+            total = np.full(_grid_shape(grids), t.const, dtype=np.int64)
+            for n, c in t.coeffs:
+                if n not in grids:
+                    raise UnboundVariableError(str(n))
+                total = total + c * grids[n]
+            return total
+
+        return _OP_EVAL[f.op](term(f.lhs), term(f.rhs))
+    if isinstance(f, And):
+        out = np.ones(_grid_shape(grids), dtype=bool)
+        for i in f.items:
+            out &= eval_formula_grid(i, grids)
+        return out
+    if isinstance(f, Or):
+        out = np.zeros(_grid_shape(grids), dtype=bool)
+        for i in f.items:
+            out |= eval_formula_grid(i, grids)
+        return out
+    if isinstance(f, Not):
+        return ~eval_formula_grid(f.item, grids)
+    if isinstance(f, BoolConst):
+        return np.full(_grid_shape(grids), f.value, dtype=bool)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _grid_shape(grids: Mapping[SsaName, np.ndarray]):
+    for v in grids.values():
+        return np.shape(v)
+    return ()
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive MCS oracle
+# ---------------------------------------------------------------------------
+
+
+class McsUsageError(Exception):
+    pass
+
+
+_MAX_ORACLE_SOFT = 12
+_MAX_GRID_CELLS = 5_000_000
+
+
+def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -> set:
+    """Exhaustive MCS oracle; returns the set of MCSs as id-frozensets.
+
+    Enumerates every valuation of the domain box to decide satisfiability
+    and every soft subset by increasing size.  Guarded to oracle scale
+    (<= 12 soft constraints, small boxes).
+    """
+    if len(cs.soft) > _MAX_ORACLE_SOFT:
+        raise McsUsageError(f"oracle limited to {_MAX_ORACLE_SOFT} soft constraints")
+    n = len(cs.soft)
+    names = sorted(
+        set().union(*(formula_vars(c.formula) for c in cs.hard + cs.soft), set())
+    )
+    width = dom.hi - dom.lo + 1
+    if width ** max(len(names), 1) > _MAX_GRID_CELLS:
+        raise McsUsageError("domain box too large for the exhaustive oracle")
+
+    if names:
+        axes = np.meshgrid(*([np.arange(dom.lo, dom.hi + 1)] * len(names)), indexing="ij")
+        grids = {name: ax.ravel() for name, ax in zip(names, axes)}
+        hard_ok = np.ones(width ** len(names), dtype=bool)
+        for c in cs.hard:
+            hard_ok &= eval_formula_grid(c.formula, grids)
+        packed = np.zeros(width ** len(names), dtype=np.int64)
+        for i, c in enumerate(cs.soft):
+            packed |= eval_formula_grid(c.formula, grids).astype(np.int64) << i
+        masks = set(int(m) for m in np.unique(packed[hard_ok]))
+    else:
+        hard_sat = all(eval_formula(c.formula, {}) for c in cs.hard)
+        if not hard_sat:
+            masks = set()
+        else:
+            bits = 0
+            for i, c in enumerate(cs.soft):
+                if eval_formula(c.formula, {}):
+                    bits |= 1 << i
+            masks = {bits}
+
+    if not masks:
+        return set()  # hard alone unsatisfiable: no removal can help
+    full = (1 << n) - 1
+    if full in masks:
+        return set()  # nothing to correct
+    found_bits: list[int] = []
+    found: set = set()
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            bits = 0
+            for i in subset:
+                bits |= 1 << i
+            if any(f & bits == f for f in found_bits):
+                continue  # superset of an already-found MCS
+            if any(mask | bits == full for mask in masks):
+                found_bits.append(bits)
+                found.add(frozenset(cs.soft[i].id for i in subset))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +242,6 @@ def random_atom(rng, names) -> Atom:
 
 
 def random_formula(rng, names, depth=1):
-    from faultlines.formulas import And, Not, Or
-
     roll = rng.integers(0, 10)
     if depth <= 0 or roll < 5:
         return random_atom(rng, names)

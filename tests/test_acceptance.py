@@ -13,12 +13,13 @@ from faultlines.cfg import Block, enumerate_paths
 from faultlines.explorer import Counterexample, path_satisfies_post, propagate, run
 from faultlines.formulas import eval_formula, formula_vars
 from faultlines.frontend import interpret
-from faultlines.mcs import McsConfig, bruteforce_mcs, enumerate_mcs
+from faultlines.mcs import McsConfig, enumerate_mcs
 from faultlines.report import report_document
 from faultlines.solver import UNSAT, DomainConfig, Solver
 
 from helpers import (
     assert_mcs_properties_solver,
+    bruteforce_mcs,
     ce_for,
     compile_source,
     config_from_args,

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
-from faultlines.cli import main
+from faultlines.cli import config_from_args, main
+from faultlines.explorer import ExplorerConfig
+from faultlines.mcs import McsConfig
+from faultlines.solver import DomainConfig
 
 from helpers import CORPUS, DOCS, ROOT, corpus_manifest
 
@@ -160,6 +166,17 @@ def test_precondition_violating_ce_exits_3(tmp_path, capsys):
     assert "precondition" in err
 
 
+def test_domain_overflow_on_initial_path_is_usage_error(capsys):
+    # TwicePlusOne(1) returns y + 3 = 5, outside [0, 3]
+    code, out, err = run_cli(
+        capsys, "run", str(CORPUS / "twiceplusone.src"), "--in", "x=1", "--domain=0:3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith("; widen --domain")
+    assert "Traceback" not in err
+
+
 def test_usage_error_on_bad_flags(capsys):
     assert run_cli(capsys, "run", str(CORPUS / "absminus.src"), "--bmcs", "0")[0] == 2
     assert run_cli(capsys, "run", str(CORPUS / "absminus.src"), "--domain", "4:-4")[0] == 2
@@ -212,10 +229,35 @@ def test_dot_dump(tmp_path, capsys):
     assert "k_1 = k_0 + 2 @ 10" in text
 
 
-def test_installed_entry_point_help():
-    import subprocess
-    import sys
+def test_config_from_args_defaults_match_cli():
+    assert config_from_args([]) == ExplorerConfig(
+        b_cond=2, mcs=McsConfig(b_mcs=3, k_max=2), dom=DomainConfig()
+    )
 
+
+def test_config_from_args_negative_domain():
+    assert config_from_args(["--domain=-8:8"]).dom == DomainConfig(-8, 8)
+
+
+def test_config_from_args_rejects_bad_flags():
+    with pytest.raises(SystemExit) as e:
+        config_from_args(["--bcond", "-1"])
+    assert e.value.code == 2
+
+
+def test_import_does_not_load_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = "import sys, faultlines, faultlines.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_installed_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "faultlines.cli", "--help"],
         capture_output=True,

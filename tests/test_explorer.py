@@ -15,12 +15,13 @@ from faultlines.explorer import (
     run,
 )
 from faultlines.formulas import SsaName
-from faultlines.mcs import HARD_UNSAT, McsConfig, bruteforce_mcs
+from faultlines.mcs import HARD_UNSAT, McsConfig
 from faultlines.report import render_json, report_document
 from faultlines.solver import DomainConfig
 
 from helpers import (
     assert_mcs_properties_solver,
+    bruteforce_mcs,
     ce_for,
     compile_source,
     config_from_args,

@@ -14,13 +14,14 @@ from faultlines.formulas import (
     assign_to_constraint,
     bool_expr_to_formula,
     eval_formula,
-    eval_formula_grid,
     formula_vars,
     linterm_from_expr,
     negate,
     nnf,
 )
 from faultlines.frontend import SourceLoc, parse_program
+
+from helpers import eval_formula_grid
 
 K0 = SsaName("k", 0)
 K1 = SsaName("k", 1)
@@ -123,9 +124,9 @@ def test_linterm_from_expr_folds_constants():
     fn = parse_program(
         "/*@ ensures \\result == 0; */ int f (int x) { return 2*x + x*3 - (1+1)*x; }"
     )
-    from faultlines.cfg import _ssa0_expr
+    from faultlines.cfg import _rename, _version0
 
-    t = linterm_from_expr(_ssa0_expr(fn.body[0].expr))
+    t = linterm_from_expr(_rename(fn.body[0].expr, _version0))
     assert t == LinTerm.of({SsaName("x", 0): 3}, 0)
 
 

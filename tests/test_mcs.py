@@ -11,16 +11,10 @@ from faultlines.formulas import (
     SsaName,
 )
 from faultlines.frontend import SourceLoc
-from faultlines.mcs import (
-    ALREADY_SAT,
-    HARD_UNSAT,
-    McsConfig,
-    bruteforce_mcs,
-    enumerate_mcs,
-)
+from faultlines.mcs import ALREADY_SAT, HARD_UNSAT, McsConfig, enumerate_mcs
 from faultlines.solver import DomainConfig
 
-from helpers import assert_mcs_properties, random_system
+from helpers import assert_mcs_properties, bruteforce_mcs, random_system
 
 I0, J0 = SsaName("i", 0), SsaName("j", 0)
 K0, K1 = SsaName("k", 0), SsaName("k", 1)
@@ -150,7 +144,7 @@ def test_bruteforce_two_independent_contradictions():
 def test_bruteforce_size_guard():
     import pytest
 
-    from faultlines.mcs import McsUsageError
+    from helpers import McsUsageError
 
     soft = [
         _c(i, Atom("==", var(K0), const(i)), ConstraintKind.ASSIGNMENT) for i in range(13)

@@ -13,7 +13,7 @@ from faultlines.formulas import (
     eval_formula,
 )
 from faultlines.frontend import SourceLoc
-from faultlines.solver import UNSAT, DomainConfig, SolverUsageError, new_solver
+from faultlines.solver import UNSAT, DomainConfig, Solver, SolverUsageError
 
 from helpers import exhaustive_sat, random_formula
 
@@ -41,21 +41,21 @@ def soft(cid, formula):
 
 
 def test_default_solver():
-    s = new_solver()
+    s = Solver()
     assert s.dom == DomainConfig(-32768, 32767)
     r = s.check()
     assert r is not UNSAT and r.model == {}
 
 
 def test_degenerate_domain_forces_zero():
-    s = new_solver(DomainConfig(0, 0))
+    s = Solver(DomainConfig(0, 0))
     s.assert_hard(Atom("<=", var("x"), const(100)))
     r = s.check()
     assert r.model == {SsaName("x", 0): 0}
 
 
 def test_oracle_scale_domain():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(Atom(">=", var("x"), const(-100)))
     r = s.check()
     assert r.model[SsaName("x", 0)] == -4
@@ -70,7 +70,7 @@ def test_invalid_domain():
 
 
 def test_push_pop_releases_constraints():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     fid = s.push()
     s.assert_hard(eq(var("x"), const(1)))
     assert s.check().model[SsaName("x", 0)] == 1
@@ -79,7 +79,7 @@ def test_push_pop_releases_constraints():
 
 
 def test_nested_push_pop_lifo():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(Atom(">=", var("x"), const(0)))
     f1 = s.push()
     s.assert_hard(Atom(">=", var("x"), const(2)))
@@ -93,7 +93,7 @@ def test_nested_push_pop_lifo():
 
 
 def test_pop_restores_sat_after_unsat():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(eq(var("x"), const(1)))
     fid = s.push()
     s.assert_hard(eq(var("x"), const(2)))
@@ -104,7 +104,7 @@ def test_pop_restores_sat_after_unsat():
 
 
 def test_pop_base_frame_errors():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     with pytest.raises(SolverUsageError):
         s.pop()
     fid = s.push()
@@ -117,7 +117,7 @@ def test_pop_base_frame_errors():
 
 
 def test_counterexample_pinning():
-    s = new_solver()
+    s = Solver()
     s.assert_hard(eq(var("i"), const(0)))
     s.assert_hard(eq(var("j"), const(1)))
     r = s.check()
@@ -125,7 +125,7 @@ def test_counterexample_pinning():
 
 
 def test_soft_constraint_selector():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     sel = s.assert_soft(soft(1, eq(var("k", 1), var("k", 0) + const(2))))
     assert sel.id == 1
     assert s.selector_state(sel) == "free"
@@ -144,13 +144,13 @@ def test_soft_constraint_selector():
 
 
 def test_assert_false_is_unsat():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(FALSE)
     assert s.check() is UNSAT
 
 
 def test_disabled_soft_constraint_is_ignored():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(eq(var("x"), const(1)))
     sel = s.assert_soft(soft(0, eq(var("x"), const(2))))
     s.pin_selector(sel, False)
@@ -163,7 +163,7 @@ def test_disabled_soft_constraint_is_ignored():
 
 
 def test_at_most_zero_enforces_all():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     sels = [
         s.assert_soft(soft(0, eq(var("x"), const(1)))),
         s.assert_soft(soft(1, eq(var("y"), const(2)))),
@@ -175,7 +175,7 @@ def test_at_most_zero_enforces_all():
 
 
 def test_at_most_n_is_no_restriction():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     sels = [
         s.assert_soft(soft(0, eq(var("x"), const(1)))),
         s.assert_soft(soft(1, eq(var("x"), const(2)))),
@@ -204,7 +204,7 @@ def test_deviation_set_disables_exactly_one_candidate():
             removable.add(drop)
     assert removable == {0, 1}
 
-    s = new_solver(dom)
+    s = Solver(dom)
     for h in hard:
         s.assert_hard(h)
     sels = [s.assert_soft(c) for c in softs]
@@ -233,7 +233,7 @@ def test_deviation_set_disables_exactly_one_candidate():
 
 
 def test_second_deviation_constraints_unsat():
-    s = new_solver()
+    s = Solver()
     for f in (
         eq(var("i"), const(0)),
         eq(var("j"), const(1)),
@@ -258,7 +258,7 @@ def test_two_equations_unique_solution():
             if eval_formula(f1, m) and eval_formula(f2, m):
                 solutions.append((x, y))
     assert solutions == [(2, 1)]
-    s = new_solver(dom)
+    s = Solver(dom)
     s.assert_hard(f1)
     s.assert_hard(f2)
     r = s.check()
@@ -266,16 +266,16 @@ def test_two_equations_unique_solution():
 
 
 def test_strict_inequalities_normalized():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(Atom("<", var("x"), const(-3)))
     assert s.check().model[SsaName("x", 0)] == -4
-    s2 = new_solver(SMALL)
+    s2 = Solver(SMALL)
     s2.assert_hard(Atom(">", var("x"), const(3)))
     assert s2.check().model[SsaName("x", 0)] == 4
 
 
 def test_disequality_splits_at_bound():
-    s = new_solver(DomainConfig(0, 1))
+    s = Solver(DomainConfig(0, 1))
     s.assert_hard(Atom("!=", var("x"), const(0)))
     assert s.check().model[SsaName("x", 0)] == 1
 
@@ -292,7 +292,7 @@ def test_check_agrees_with_exhaustive_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(150):
         formulas = _random_conjunction(rng)
-        s = new_solver(SMALL)
+        s = Solver(SMALL)
         for f in formulas:
             s.assert_hard(f)
         got = s.check()
@@ -315,7 +315,7 @@ def test_push_pop_purity_random_interleavings():
     for _ in range(40):
         formulas = _random_conjunction(rng, max_vars=3, max_atoms=6)
         # interleaved: half the formulas inside a pushed frame, popped and re-added
-        s = new_solver(SMALL)
+        s = Solver(SMALL)
         half = len(formulas) // 2
         for f in formulas[:half]:
             s.assert_hard(f)
@@ -329,7 +329,7 @@ def test_push_pop_purity_random_interleavings():
             s.assert_hard(f)
         second = s.check()
         # fresh solver over the same net constraint set
-        fresh = new_solver(SMALL)
+        fresh = Solver(SMALL)
         for f in formulas:
             fresh.assert_hard(f)
         reference = fresh.check()
@@ -345,7 +345,7 @@ def test_determinism_identical_assertions_identical_models():
         formulas = _random_conjunction(rng)
 
         def run():
-            s = new_solver(SMALL)
+            s = Solver(SMALL)
             for f in formulas:
                 s.assert_hard(f)
             r = s.check()
@@ -355,7 +355,7 @@ def test_determinism_identical_assertions_identical_models():
 
 
 def test_statistics_monotone():
-    s = new_solver(SMALL)
+    s = Solver(SMALL)
     s.assert_hard(eq(var("x"), const(1)))
     snapshots = [dict(s.stats)]
     fid = s.push()
