@@ -1,11 +1,12 @@
 """Command-line entry point.
 
     faultlines run PROGRAM [--in NAME=INT ...] [--ce-file FILE]
-                   [--bcond N] [--bmcs N] [--kmax N] [--domain=LO:HI]
+                   [--bcond N] [--bmcs N] [--kmax N] [--domain LO:HI]
                    [--format text|json] [--dot FILE] [--no-incremental]
 
-Write the domain as `--domain=LO:HI`: in `--domain -8:8` argparse takes
-`-8:8` for an option because it starts with a dash.
+`--domain -8:8` and `--domain=-8:8` are the same: a `LO:HI` value after
+`--domain` is joined to it before parsing, so a negative `LO` is not
+taken for an option.
 
 Exit codes: 0 report produced; 1 file/parse/typecheck failure
 (diagnostics on stderr); 2 usage error, including a failing run whose
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .cfg import build_cfg, render_dot, to_dsa
@@ -87,7 +89,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         type=_domain,
         default=DomainConfig(),
         metavar="LO:HI",
-        help="variable bounds; write --domain=LO:HI when LO is negative",
+        help="variable bounds, e.g. -128:127",
     )
     runp.add_argument("--format", choices=("text", "json"), default="text")
     runp.add_argument("--dot", help="also dump the DSA control-flow graph to this file")
@@ -97,6 +99,24 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         help="use a fresh solver per diagnosed path (identical diagnoses)",
     )
     return parser
+
+
+_DOMAIN_VALUE = re.compile(r"-?\d+:-?\d+")
+
+
+def _join_domain(argv) -> list:
+    """Rewrite `--domain LO:HI` as `--domain=LO:HI`.
+
+    argparse takes a separate value that starts with a dash, such as
+    `-128:127`, for an option and rejects `--domain` as missing its value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--domain" and _DOMAIN_VALUE.fullmatch(arg):
+            out[-1] = f"--domain={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _explorer_config(args) -> ExplorerConfig:
@@ -113,7 +133,7 @@ def config_from_args(flags) -> ExplorerConfig:
     Flags are validated as on the command line: a bad value raises
     SystemExit with the usage exit code.
     """
-    return _explorer_config(_build_arg_parser().parse_args(["run", "-", *flags]))
+    return _explorer_config(_build_arg_parser().parse_args(["run", "-", *_join_domain(flags)]))
 
 
 def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
@@ -146,7 +166,7 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
 
 def main(argv=None) -> int:
     parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_domain(sys.argv[1:] if argv is None else argv))
 
     try:
         with open(args.program, "r", encoding="utf-8") as fh:

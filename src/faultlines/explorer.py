@@ -5,16 +5,21 @@ Given a DSA-form graph and a failing input, the runner
 1. propagates the counterexample to the exit, collecting the assignment
    constraints of the induced path, and diagnoses that path by MCS
    enumeration (inputs and postcondition hard, assignments soft);
-2. flips up to `b_cond` decisions, depth-first over the decision order.
-   A candidate is dropped without solving when a requested decision is
-   never reached, when its last flipped decision already corrected the
-   program at an equal or lower deviation level (condition marking), or
-   when its decision sequence up to its last flip extends a previously
-   explored deviated prefix.  A surviving candidate whose path satisfies
-   the postcondition yields a diagnosis: the flipped conditions
-   themselves, plus the MCSs of the constraints collected before the
-   last flip conjoined with the guard value that forces the flipped
-   branch;
+2. flips up to `b_cond` decisions, level by level in lexicographic
+   order over the decision order.  A flip set is only extended by a
+   decision its own path reaches after its last flip, and that
+   execution resumes at the new flip from a snapshot taken there.  The
+   other candidates run exactly like a path already executed, so they
+   are counted, not executed: as unreached when a requested decision is
+   never met, or as overflowed when that path left the domain box.  An
+   executed candidate is dropped without solving when its last flipped
+   decision already corrected the program at an equal or lower
+   deviation level (condition marking), or when its decision sequence up
+   to its last flip extends a previously explored deviated prefix.  A
+   surviving candidate whose path satisfies the postcondition yields a
+   diagnosis: the flipped conditions themselves, plus the MCSs of the
+   constraints collected before the last flip conjoined with the guard
+   value that forces the flipped branch;
 3. assembles a deterministic report (diagnoses ordered by deviation
    count, then discovery; statistics include solver counters).
 
@@ -28,8 +33,8 @@ assertion counters differ.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .cfg import (
@@ -73,10 +78,12 @@ class DeviationUnreachedError(ExplorerError):
 
 
 class OverflowAbandonedError(ExplorerError):
-    def __init__(self, name, value, dom):
+    def __init__(self, name, value, dom, visited=(), snapshots=()):
         super().__init__(f"{name} = {value} escapes the domain box [{dom.lo}, {dom.hi}]")
         self.name = name
         self.value = value
+        self.visited = tuple(visited)  # decisions reached before the overflow
+        self.snapshots = tuple(snapshots)  # as PathTrace.snapshots, up to the overflow
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,32 @@ class DecisionStep:
     deviated: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """A path's state on arrival at decision `node`, before its guard is read.
+
+    The prefix lists belong to the path that took the snapshot and only
+    grow at their ends, so their first `depth` decisions, `size`
+    constraints and `depth + 1` segments stay as they were on arrival.
+    """
+
+    node: str
+    depth: int
+    size: int
+    model: dict
+    decisions: list
+    collected: list
+    segments: list
+
+
 @dataclass
 class PathTrace:
     decisions: tuple
     collected: tuple  # soft constraints in path order, path_index set
     segments: tuple  # len(decisions)+1 groups; segments[i] precedes decision i
     final_model: dict
+    # one per decision reached after the last flip, in path order
+    snapshots: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -215,8 +242,14 @@ def propagate(
     ce: Counterexample,
     deviations: Iterable[str] = (),
     dom: DomainConfig = DomainConfig(),
+    *,
+    resume: Optional[Snapshot] = None,
 ) -> PathTrace:
     """Concrete forward execution, flipping the decisions in `deviations`.
+
+    With `resume`, execution starts at that snapshot's decision instead of
+    the entry; the snapshot must come from a path that flips the other
+    `deviations` and reaches it.
 
     Raises DeviationUnreachedError when a requested decision is not on
     the resulting path and OverflowAbandonedError when a computed value
@@ -224,15 +257,23 @@ def propagate(
     """
     deviations = frozenset(deviations)
     templates = assignment_constraints(cfg)
-    model = {SsaName(name, 0): value for name, value in ce.items}
-    for name, value in ce.items:
-        if not dom.lo <= value <= dom.hi:
-            raise OverflowAbandonedError(name, value, dom)
-    decisions: list = []
-    collected: list = []
-    segments: list = [[]]
-    visited: set = set()
-    nid = cfg.entry
+    if resume is None:
+        for name, value in ce.items:
+            if not dom.lo <= value <= dom.hi:
+                raise OverflowAbandonedError(name, value, dom)
+        model = {SsaName(name, 0): value for name, value in ce.items}
+        decisions: list = []
+        collected: list = []
+        segments: list = [[]]
+        nid = cfg.entry
+    else:
+        model = dict(resume.model)
+        decisions = resume.decisions[: resume.depth]
+        collected = resume.collected[: resume.size]
+        # the shared groups are complete: a new one opens at this decision
+        segments = resume.segments[: resume.depth + 1]
+        nid = resume.node
+    snapshots: list = []
     while True:
         node = cfg.nodes[nid]
         if isinstance(node, Exit):
@@ -245,7 +286,8 @@ def propagate(
                 template = templates[a.cid]
                 value = template.formula.rhs.eval(model)
                 if not dom.lo <= value <= dom.hi:
-                    raise OverflowAbandonedError(a.target, value, dom)
+                    visited = (s.node for s in decisions)
+                    raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
                 model[a.target] = value
                 inst = template.at_path_index(len(collected))
                 collected.append(inst)
@@ -253,10 +295,16 @@ def propagate(
             nid = cfg.successors(nid)[0][1]
             continue
         if isinstance(node, Decision):
-            visited.add(nid)
+            deviated = nid in deviations
+            if deviated:
+                snapshots.clear()
+            else:
+                snapshots.append(
+                    Snapshot(nid, len(decisions), len(collected), dict(model),
+                             decisions, collected, segments)
+                )
             value = eval_formula(guard_formula(cfg, nid), model)
             taken = THEN if value else ELSE
-            deviated = nid in deviations
             if deviated:
                 taken = ELSE if taken == THEN else THEN
             decisions.append(DecisionStep(nid, taken, deviated))
@@ -264,7 +312,7 @@ def propagate(
             nid = cfg.succ(nid, taken)
             continue
         raise ExplorerError(f"unexpected node {node!r}")
-    missing = deviations - visited
+    missing = deviations - {s.node for s in decisions}
     if missing:
         raise DeviationUnreachedError(missing)
     return PathTrace(
@@ -272,6 +320,7 @@ def propagate(
         collected=tuple(collected),
         segments=tuple(tuple(seg) for seg in segments),
         final_model=model,
+        snapshots=tuple(snapshots),
     )
 
 
@@ -427,6 +476,18 @@ def _diagnose_deviation(trace, cfg, ce, config, backend) -> Diagnosis:
 # ---------------------------------------------------------------------------
 
 
+def _skipped(n: int, b: int, flips: int, reached: int, own: bool) -> int:
+    """How many flip sets a path decides without executing them.
+
+    A set of at most `b` of the `n` decisions that adds to the path's
+    `flips` only decisions outside the `reached` ones runs exactly like
+    the path: it is unreached, or overflows where the path did.  `own`
+    counts the path's own flip set as well.
+    """
+    first = flips if own else flips + 1
+    return sum(comb(n - reached, d - flips) for d in range(first, b + 1))
+
+
 def run(
     cfg: Cfg,
     ce: Counterexample,
@@ -444,36 +505,44 @@ def run(
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
 
+    n = len(cfg.decision_order)
+    b = min(config.b_cond, n)
+    stats.rejected_unreached += _skipped(n, b, 0, len(trace0.decisions), own=False)
     marks: dict = {}
     explored_prefixes: list = []
-    b = min(config.b_cond, len(cfg.decision_order))
+    # (flip set, snapshots after its last flip); decisions are numbered
+    # depth-first, so a path meets them in decision order and the flip
+    # sets of each level come out in lexicographic order
+    frontier = [((), trace0.snapshots)]
     for d in range(1, b + 1):
-        for candidate in itertools.combinations(cfg.decision_order, d):
-            try:
-                trace = propagate(cfg, ce, candidate, config.dom)
-            except DeviationUnreachedError:
-                stats.rejected_unreached += 1
-                continue
-            except OverflowAbandonedError:
-                stats.overflow_abandoned += 1
-                continue
-            last = max(i for i, s in enumerate(trace.decisions) if s.deviated)
-            last_node = trace.decisions[last].node
-            if marks.get(last_node, b + 1) <= d:
-                stats.rejected_marked += 1
-                continue
-            seq = tuple((s.node, s.taken) for s in trace.decisions[: last + 1])
-            if any(seq[: len(p)] == p for p in explored_prefixes):
-                stats.rejected_prefix += 1
-                continue
-            stats.paths_explored += 1
-            explored_prefixes.append(seq)
-            if path_satisfies_post(trace, cfg):
-                diagnoses.append(_diagnose_deviation(trace, cfg, ce, config, backend))
-                stats.mcs_enumerations += 1
-                marks.setdefault(last_node, d)
-            else:
-                stats.paths_ignored += 1
+        children = []
+        for flips, snapshots in frontier:
+            for snap in snapshots:
+                candidate = flips + (snap.node,)
+                try:
+                    trace = propagate(cfg, ce, candidate, config.dom, resume=snap)
+                except OverflowAbandonedError as e:
+                    stats.overflow_abandoned += _skipped(n, b, d, len(e.visited), own=True)
+                    children.append((candidate, e.snapshots))
+                    continue
+                stats.rejected_unreached += _skipped(n, b, d, len(trace.decisions), own=False)
+                children.append((candidate, trace.snapshots))
+                if marks.get(snap.node, b + 1) <= d:
+                    stats.rejected_marked += 1
+                    continue
+                seq = tuple((s.node, s.taken) for s in trace.decisions[: snap.depth + 1])
+                if any(seq[: len(p)] == p for p in explored_prefixes):
+                    stats.rejected_prefix += 1
+                    continue
+                stats.paths_explored += 1
+                explored_prefixes.append(seq)
+                if path_satisfies_post(trace, cfg):
+                    diagnoses.append(_diagnose_deviation(trace, cfg, ce, config, backend))
+                    stats.mcs_enumerations += 1
+                    marks.setdefault(snap.node, d)
+                else:
+                    stats.paths_ignored += 1
+        frontier = children
 
     totals = backend.stats_totals()
     stats.solver_checks = totals["checks"]

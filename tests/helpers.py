@@ -210,6 +210,91 @@ def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -
 
 
 # ---------------------------------------------------------------------------
+# Reference explorer
+# ---------------------------------------------------------------------------
+
+
+def reference_run(cfg, ce, config=None, incremental: bool = True):
+    """`explorer.run` as generate-then-reject: every flip set, from the entry.
+
+    Each combination of up to `b_cond` decisions is propagated from the
+    entry and counted as unreached or overflowed when it fails.  Its
+    report must equal the explorer's byte for byte, statistics included.
+    """
+    from faultlines.explorer import (
+        DeviationUnreachedError,
+        ExplorerConfig,
+        OverflowAbandonedError,
+        NothingToLocalizeError,
+        Report,
+        Statistics,
+        _Backend,
+        _diagnose_deviation,
+        _diagnose_initial,
+        input_constraints,
+        path_satisfies_post,
+        propagate,
+    )
+
+    config = config or ExplorerConfig()
+    trace0 = propagate(cfg, ce, (), config.dom)
+    if path_satisfies_post(trace0, cfg):
+        raise NothingToLocalizeError("counterexample does not violate the postcondition")
+
+    stats = Statistics()
+    backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
+    diagnoses = [_diagnose_initial(trace0, cfg, ce, config, backend)]
+    stats.paths_explored += 1
+    stats.mcs_enumerations += 1
+
+    marks: dict = {}
+    explored_prefixes: list = []
+    b = min(config.b_cond, len(cfg.decision_order))
+    for d in range(1, b + 1):
+        for candidate in itertools.combinations(cfg.decision_order, d):
+            try:
+                trace = propagate(cfg, ce, candidate, config.dom)
+            except DeviationUnreachedError:
+                stats.rejected_unreached += 1
+                continue
+            except OverflowAbandonedError:
+                stats.overflow_abandoned += 1
+                continue
+            last = max(i for i, s in enumerate(trace.decisions) if s.deviated)
+            last_node = trace.decisions[last].node
+            if marks.get(last_node, b + 1) <= d:
+                stats.rejected_marked += 1
+                continue
+            seq = tuple((s.node, s.taken) for s in trace.decisions[: last + 1])
+            if any(seq[: len(p)] == p for p in explored_prefixes):
+                stats.rejected_prefix += 1
+                continue
+            stats.paths_explored += 1
+            explored_prefixes.append(seq)
+            if path_satisfies_post(trace, cfg):
+                diagnoses.append(_diagnose_deviation(trace, cfg, ce, config, backend))
+                stats.mcs_enumerations += 1
+                marks.setdefault(last_node, d)
+            else:
+                stats.paths_ignored += 1
+
+    totals = backend.stats_totals()
+    stats.solver_checks = totals["checks"]
+    stats.solver_propagations = totals["propagations"]
+    stats.solver_assertions = totals["assertions"]
+    return Report(
+        program=cfg.name,
+        counterexample=ce,
+        b_cond=config.b_cond,
+        mcs_config=config.mcs,
+        dom=config.dom,
+        incremental=incremental,
+        diagnoses=tuple(diagnoses),
+        stats=stats,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Random constraint systems
 # ---------------------------------------------------------------------------
 

@@ -237,6 +237,16 @@ def test_config_from_args_defaults_match_cli():
 
 def test_config_from_args_negative_domain():
     assert config_from_args(["--domain=-8:8"]).dom == DomainConfig(-8, 8)
+    assert config_from_args(["--domain", "-8:8"]).dom == DomainConfig(-8, 8)
+
+
+def test_negative_domain_both_spellings_match(capsys):
+    argv = ["run", str(CORPUS / "absminus.src"), "--in", "i=0", "--in", "j=1", "--format", "json"]
+    spaced = run_cli(capsys, *argv, "--domain", "-128:127")
+    joined = run_cli(capsys, *argv, "--domain=-128:127")
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert '"lo": -128' in spaced[1]
 
 
 def test_config_from_args_rejects_bad_flags():

@@ -1,6 +1,9 @@
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultlines.cfg import THEN, ELSE
 from faultlines.explorer import (
@@ -15,11 +18,12 @@ from faultlines.explorer import (
     run,
 )
 from faultlines.formulas import SsaName
-from faultlines.mcs import HARD_UNSAT, McsConfig
+from faultlines.mcs import HARD_UNSAT, OK, Mcs, McsConfig, McsResult
 from faultlines.report import render_json, report_document
 from faultlines.solver import DomainConfig
 
 from helpers import (
+    ROOT,
     assert_mcs_properties_solver,
     bruteforce_mcs,
     ce_for,
@@ -27,6 +31,8 @@ from helpers import (
     config_from_args,
     corpus_entry,
     corpus_manifest,
+    random_program,
+    reference_run,
 )
 
 
@@ -103,6 +109,82 @@ def test_propagate_overflow_abandoned():
     ce = ce_for(fn, {"x": 5})
     with pytest.raises(OverflowAbandonedError):
         propagate(g, ce, (), DomainConfig(-8, 8))
+
+
+OVERFLOW_LATE = """\
+/*@ ensures \\result == 0; */
+int f (int x) {
+  int y = 0;
+  if (x > 0) { y = 1; }
+  if (x > 1) { y = x + x; }
+  if (x > 2) { y = 2; }
+  return y;
+}
+"""
+
+
+def test_overflow_error_carries_decisions_reached_before_it():
+    fn, g = compile_source(OVERFLOW_LATE)
+    first, second, _ = g.decision_order
+    dom = DomainConfig(-8, 8)
+    with pytest.raises(OverflowAbandonedError) as e:
+        propagate(g, ce_for(fn, {"x": 5}), (), dom)
+    assert e.value.visited == (first, second)
+    with pytest.raises(OverflowAbandonedError) as e:
+        propagate(g, ce_for(fn, {"x": 9}), (), dom)  # the input itself
+    assert e.value.visited == ()
+    # flipping the second decision skips the overflowing assignment
+    assert len(propagate(g, ce_for(fn, {"x": 5}), {second}, dom).decisions) == 3
+
+
+def _resume_cases():
+    for name in sorted(corpus_manifest()):
+        text, ce_map, entry = corpus_entry(name)
+        fn, g = compile_source(text)
+        yield name, g, ce_for(fn, ce_map), config_from_args(entry["args"]).dom
+    text = (ROOT / "perfbench" / "tritype" / "tritype.src").read_text()
+    fn, g = compile_source(text)
+    for inputs in ({"i": 1, "j": 2, "k": 1}, {"i": 2, "j": 3, "k": 4}, {"i": 1, "j": 1, "k": 1}):
+        yield "tritype", g, ce_for(fn, inputs), DomainConfig(-128, 127)
+    fn, g = compile_source(OVERFLOW_LATE)
+    yield "overflow_late", g, ce_for(fn, {"x": -5}), DomainConfig(-8, 8)
+
+
+def test_resumed_trace_equals_propagate_from_entry():
+    # every flip set whose flips are all reached, grown as `run` grows them
+    seen, overflowed = 0, 0
+    for name, g, ce, dom in _resume_cases():
+        order = {nid: i for i, nid in enumerate(g.decision_order)}
+        frontier = [((), propagate(g, ce, (), dom).snapshots)]
+        while frontier:
+            children = []
+            for flips, snapshots in frontier:
+                for snap in snapshots:
+                    flips2 = flips + (snap.node,)
+                    try:
+                        got = propagate(g, ce, flips2, dom, resume=snap)
+                    except OverflowAbandonedError as e:
+                        overflowed += 1
+                        with pytest.raises(OverflowAbandonedError) as from_entry:
+                            propagate(g, ce, flips2, dom)
+                        got, want = e, from_entry.value
+                        assert str(got) == str(want), (name, flips2)
+                        assert got.visited == want.visited, (name, flips2)
+                        assert [x.node for x in got.snapshots] == [x.node for x in want.snapshots]
+                        children.append((flips2, got.snapshots))
+                        continue
+                    seen += 1
+                    want = propagate(g, ce, flips2, dom)
+                    assert got.decisions == want.decisions, (name, flips2)
+                    assert got.collected == want.collected, (name, flips2)
+                    assert got.segments == want.segments, (name, flips2)
+                    assert got.final_model == want.final_model, (name, flips2)
+                    assert [x.node for x in got.snapshots] == [x.node for x in want.snapshots]
+                    path_order = [order[x.node] for x in got.decisions]
+                    assert path_order == sorted(path_order), (name, flips2)
+                    children.append((flips2, got.snapshots))
+            frontier = children
+    assert seen >= 50 and overflowed >= 1
 
 
 def test_path_satisfies_post_identity():
@@ -345,3 +427,41 @@ def test_run_is_deterministic():
     fn2, g2 = compile_source(corpus_entry("absminus")[0])
     second = render_json(run(g2, ce, config))
     assert first == second
+
+
+def _outcome(explore, g, ce, config):
+    try:
+        return render_json(explore(g, ce, config))
+    except (NothingToLocalizeError, OverflowAbandonedError) as e:
+        return type(e).__name__, str(e)
+
+
+def _random_case(seed, b_cond, dom):
+    rng = np.random.default_rng(seed)
+    fn, g = compile_source(random_program(rng, max_depth=3))
+    ce = ce_for(fn, {p: int(rng.integers(-6, 7)) for p in fn.param_names})
+    return g, ce, ExplorerConfig(b_cond=b_cond, mcs=McsConfig(b_mcs=2, k_max=2), dom=dom)
+
+
+@pytest.mark.parametrize("dom", [DomainConfig(-12, 12), DomainConfig(-64, 64)], ids=["pm12", "pm64"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b_cond=st.integers(1, 3))
+def test_run_matches_reference_explorer(dom, seed, b_cond):
+    g, ce, config = _random_case(seed, b_cond, dom)
+    assert _outcome(run, g, ce, config) == _outcome(reference_run, g, ce, config)
+
+
+def _every_soft_constraint(solver, pairs, config):
+    return McsResult(tuple(Mcs((c,)) for _, c in pairs), OK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b_cond=st.integers(1, 3))
+def test_run_matches_reference_explorer_default_domain(seed, b_cond):
+    # One real diagnosis of a random program can label 65536 values per
+    # variable, so this case replaces the MCS enumeration in both explorers
+    # with one that reports every soft constraint it was given.
+    g, ce, config = _random_case(seed, b_cond, DomainConfig())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("faultlines.explorer.enumerate_on", _every_soft_constraint)
+        assert _outcome(run, g, ce, config) == _outcome(reference_run, g, ce, config)
