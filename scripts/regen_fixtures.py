@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden report fixtures under corpus/expected/.
+"""Regenerate the committed golden fixtures under corpus/expected/.
+
+Each corpus program gets its JSON report and its DSA graph in DOT form;
+absminus also gets its text report.
 
 Run after an intentional change to report content or solver internals,
 then review the diff before committing.
@@ -14,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from faultlines.cfg import build_cfg, to_dsa  # noqa: E402
+from faultlines.cfg import build_cfg, render_dot, to_dsa  # noqa: E402
 from faultlines.cli import config_from_args  # noqa: E402
 from faultlines.explorer import Counterexample, run  # noqa: E402
 from faultlines.frontend import parse_program  # noqa: E402
@@ -32,6 +35,7 @@ def main() -> None:
             json.loads((corpus / entry["ce"]).read_text()), fn.param_names
         )
         graph = to_dsa(build_cfg(fn))
+        (expected / f"{name}.dot").write_text(render_dot(graph))
         report = run(graph, ce, config_from_args(entry["args"]))
         (expected / f"{name}.json").write_bytes(render_json(report))
         if name == "absminus":

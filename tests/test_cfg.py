@@ -19,7 +19,7 @@ from faultlines.formulas import SsaName, linterm_from_expr
 from faultlines.frontend import interpret, parse_program
 from faultlines.solver import DomainConfig
 
-from helpers import compile_source, corpus_entry, corpus_manifest, random_program
+from helpers import CORPUS, compile_source, corpus_entry, corpus_manifest, random_program
 
 WIDE = DomainConfig(-(2**40), 2**40)
 
@@ -270,6 +270,14 @@ def test_dot_rendering():
     assert "k_1 = k_0 + 2 @ 10" in dot
     assert "(synthetic)" in dot
     assert '[label="then"]' in dot and '[label="else"]' in dot
+
+
+@pytest.mark.parametrize("name", sorted(corpus_manifest()))
+def test_dot_matches_golden(name):
+    text, _, _ = corpus_entry(name)
+    _, g = compile_source(text)
+    golden = (CORPUS / "expected" / f"{name}.dot").read_bytes()
+    assert render_dot(g).encode("utf-8") == golden
 
 
 def test_build_requires_return():
