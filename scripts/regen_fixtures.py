@@ -17,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from faultlines.cfg import build_cfg, render_dot, to_dsa  # noqa: E402
+from faultlines.cfg import build_cfg, render_dot  # noqa: E402
 from faultlines.cli import config_from_args  # noqa: E402
 from faultlines.explorer import Counterexample, run  # noqa: E402
 from faultlines.frontend import parse_program  # noqa: E402
@@ -34,7 +34,7 @@ def main() -> None:
         ce = Counterexample.of(
             json.loads((corpus / entry["ce"]).read_text()), fn.param_names
         )
-        graph = to_dsa(build_cfg(fn))
+        graph = build_cfg(fn)
         (expected / f"{name}.dot").write_text(render_dot(graph))
         report = run(graph, ce, config_from_args(entry["args"]))
         (expected / f"{name}.json").write_bytes(render_json(report))

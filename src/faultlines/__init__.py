@@ -1,14 +1,14 @@
 """Fault localization for annotated integer programs.
 
-Pipeline: parse an annotated source file, build its control-flow graph,
-rename it to single-assignment form, propagate a failing input through
+Pipeline: parse an annotated source file, build its control-flow graph
+in single-assignment form, propagate a failing input through
 the graph while deviating a bounded number of branch decisions, and
 enumerate bounded-size minimal correction sets over each interesting
 path's constraint system.  Suspects are reported per path, mapped back
 to source lines.
 """
 
-from .cfg import Cfg, build_cfg, enumerate_paths, render_dot, to_dsa
+from .cfg import Cfg, build_cfg, enumerate_paths, render_dot
 from .explorer import (
     Counterexample,
     DeviationUnreachedError,
@@ -87,7 +87,6 @@ __all__ = [
     "render_text",
     "report_document",
     "run",
-    "to_dsa",
     "typecheck",
     "__version__",
 ]

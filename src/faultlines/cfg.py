@@ -1,18 +1,18 @@
-"""Control-flow graph construction and the single-assignment transform.
+"""Control-flow graph construction in dynamic single-assignment (DSA) form.
 
 :func:`build_cfg` lowers a typechecked function into a DAG of assignment
 blocks and two-way decision nodes (one per `if`); join points are
 materialised as empty blocks so every branch region is single-entry /
-single-exit.  All variable references initially carry version 0.
-
-:func:`to_dsa` renames assignment targets so that on every entry-to-exit
-path each versioned name is assigned at most once.  Versions are unified
-at join points: a branch that does not assign a variable the other branch
-assigns receives a synthetic copy (flagged, located at the governing
-decision) so the variable's latest version is path-independent afterwards.
-Version 0 always denotes the input/initial value: parameters start at
-version 0 and a declaration initialiser assigns version 0; ordinary
-assignments create fresh versions.
+single-exit.  Variables are renamed while the graph is built, so that on
+every entry-to-exit path each versioned name is assigned at most once: the
+builder threads the latest version of each name through the statements and
+lowers each branch of an `if` on its own copy.  At the join, a branch that
+does not assign a variable the other branch assigns receives a synthetic
+copy (flagged, located at the governing decision) so the variable's latest
+version is path-independent afterwards.  Version 0 always denotes the
+input/initial value: parameters start at version 0 and a declaration
+initialiser assigns version 0; ordinary assignments create fresh versions.
+Constraint ids (`cid`) number assignments in that same walk order.
 
 A bare-variable `return x` binds the specification's result directly to
 x's final version.  Any other returned expression becomes an ordinary
@@ -111,10 +111,7 @@ class Cfg:
     result_var: str
     return_loc: SourceLoc
     ensures_loc: SourceLoc
-    raw_postcondition: BoolExpr  # over source names + \result
-    raw_precondition: Optional[BoolExpr]
-    postcondition: Optional[BoolExpr] = None  # over SsaName, set by to_dsa
-    is_dsa: bool = False
+    postcondition: BoolExpr  # over SsaName; \result is the final result version
     _formula_cache: dict = field(default_factory=dict, repr=False)
 
     def successors(self, nid: str) -> list:
@@ -174,12 +171,18 @@ def _version0(name: str) -> SsaName:
     return SsaName(name, 0)
 
 
+def _current(env: dict):
+    """Map a name to its latest version in `env` (0 when never assigned)."""
+    return lambda name: SsaName(name, env.get(name, 0))
+
+
 class _Builder:
-    def __init__(self, fn: Function):
-        self.fn = fn
+    def __init__(self):
         self.nodes: dict = {}
         self.edges: dict = {}
         self.block_n = 0
+        self.synth_n = 0
+        self.cid = 0
         self.decision_ids: set = set()
         self.decision_order: list = []
         self.result_var: Optional[str] = None
@@ -207,8 +210,22 @@ class _Builder:
         self.decision_order.append(nid)
         return self.add(Decision(nid, guard, loc))
 
-    def seq(self, stmts, attach) -> tuple:
-        """Wire a statement list after `attach` = (src id, edge label)."""
+    def assignment(self, target: SsaName, rhs: Expr, loc: SourceLoc, **flags) -> Assignment:
+        self.cid += 1
+        return Assignment(target, rhs, loc, cid=self.cid - 1, **flags)
+
+    def assign(self, env: dict, base: str, rhs: Expr, loc: SourceLoc, init=False) -> Assignment:
+        """`base` := `rhs`: a fresh version, or version 0 for an initialiser."""
+        rhs = _rename(rhs, _current(env))
+        env[base] = 0 if init else env.get(base, 0) + 1
+        return self.assignment(SsaName(base, env[base]), rhs, loc, init=init)
+
+    def seq(self, stmts, attach, env: dict) -> tuple:
+        """Wire a statement list after `attach` = (src id, edge label).
+
+        `env` maps each source name to its latest version and is updated in
+        place to the versions live after the list.
+        """
         pending: list = []
 
         def flush(at):
@@ -223,45 +240,79 @@ class _Builder:
         for s in stmts:
             if isinstance(s, Decl):
                 if s.init is not None:
-                    init = _rename(s.init, _version0)
-                    pending.append(Assignment(SsaName(s.name, 0), init, s.loc, init=True))
+                    pending.append(self.assign(env, s.name, s.init, s.loc, init=True))
             elif isinstance(s, Assign):
-                pending.append(Assignment(SsaName(s.target, 0), _rename(s.rhs, _version0), s.loc))
+                pending.append(self.assign(env, s.target, s.rhs, s.loc))
             elif isinstance(s, If):
                 attach = flush(attach)
-                d = self.new_decision(_rename(s.cond, _version0), s.loc)
+                d = self.new_decision(_rename(s.cond, _current(env)), s.loc)
                 self.link(attach[0], attach[1], d)
-                t_at = self.seq(s.then_body, (d, THEN))
-                e_at = self.seq(s.else_body, (d, ELSE))
+                env_t, env_e = dict(env), dict(env)
+                t_at = self.seq(s.then_body, (d, THEN), env_t)
+                e_at = self.seq(s.else_body, (d, ELSE), env_e)
+                copies = self.unify(env, env_t, env_e, s.loc)
                 join = self.new_block([])
-                self.link(t_at[0], t_at[1], join)
-                self.link(e_at[0], e_at[1], join)
+                for label, at in ((THEN, t_at), (ELSE, e_at)):
+                    if copies[label] and at == (d, label):
+                        # empty branch: the copies get a block of their own
+                        bid = f"s{self.synth_n}"
+                        self.synth_n += 1
+                        self.add(Block(bid, copies[label]))
+                        self.link(d, label, bid)
+                        at = (bid, NEXT)
+                    elif copies[label]:
+                        self.nodes[at[0]].assignments.extend(copies[label])
+                    self.link(at[0], at[1], join)
                 attach = (join, NEXT)
             elif isinstance(s, Return):
                 if isinstance(s.expr, VarRef):
                     self.result_var = s.expr.name
                 else:
                     self.result_var = RESULT_VAR
-                    pending.append(
-                        Assignment(SsaName(RESULT_VAR, 0), _rename(s.expr, _version0), s.loc)
-                    )
+                    pending.append(self.assign(env, RESULT_VAR, s.expr, s.loc))
                 self.return_loc = s.loc
                 attach = flush(attach)
             else:
                 raise CfgError(f"unsupported statement: {s!r}")
         return flush(attach)
 
+    def unify(self, env: dict, env_t: dict, env_e: dict, loc: SourceLoc) -> dict:
+        """Merge the branch environments into `env` at an `if`'s join.
+
+        Returns, per branch label, the synthetic copies that make each
+        variable's latest version path-independent past the join.
+        """
+        copies: dict = {THEN: [], ELSE: []}
+        # unify everything both branches know about; names known to only
+        # one side are branch-local and dead past the join
+        for base in [b for b in env_t if b in env_e]:
+            vt, ve = env_t[base], env_e[base]
+            env[base] = max(vt, ve)
+            if vt != ve:
+                # the branch holding the *lower* version lacks the assignment
+                # and receives the copy, located at the governing decision
+                copy = self.assignment(
+                    SsaName(base, env[base]),
+                    VarRef(SsaName(base, min(vt, ve)), loc),
+                    loc,
+                    synthetic=True,
+                )
+                copies[THEN if vt < ve else ELSE].append(copy)
+        return copies
+
 
 def build_cfg(fn: Function) -> Cfg:
-    """Lower a typechecked function to its (pre-DSA) control-flow graph."""
-    b = _Builder(fn)
+    """Lower a typechecked function to its control-flow graph in DSA form."""
+    b = _Builder()
     entry = b.add(Entry("entry"))
     exit_ = b.add(Exit("exit"))
-    attach = b.seq(fn.body, (entry, NEXT))
+    env: dict = {p: 0 for p in fn.param_names}
+    attach = b.seq(fn.body, (entry, NEXT), env)
     b.link(attach[0], attach[1], exit_)
     if b.result_var is None:
         raise CfgError("function has no return statement")
-    cfg = Cfg(
+    result_name = SsaName(b.result_var, env.get(b.result_var, 0))
+    return Cfg(
         name=fn.name,
         params=fn.param_names,
         param_locs={p.name: p.loc for p in fn.params},
@@ -273,205 +324,16 @@ def build_cfg(fn: Function) -> Cfg:
         result_var=b.result_var,
         return_loc=b.return_loc,
         ensures_loc=fn.ensures_loc,
-        raw_postcondition=fn.postcondition,
-        raw_precondition=fn.precondition,
+        postcondition=_rename(fn.postcondition, _version0, result_name),
     )
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# Postdominators (for locating join points)
-# ---------------------------------------------------------------------------
-
-
-def _topo_order(cfg: Cfg) -> list:
-    indeg: dict = {n: 0 for n in cfg.nodes}
-    for src, outs in cfg.edges.items():
-        for _, dst in outs:
-            indeg[dst] += 1
-    ready = [cfg.entry]
-    order = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
-        for _, dst in cfg.edges.get(nid, []):
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                ready.append(dst)
-    if len(order) != len(cfg.nodes):
-        raise CfgError("control-flow graph is not acyclic")
-    return order
-
-
-def _postdom_sets(cfg: Cfg) -> dict:
-    order = _topo_order(cfg)
-    pd: dict = {}
-    for nid in reversed(order):
-        succs = [dst for _, dst in cfg.edges.get(nid, [])]
-        if not succs:
-            pd[nid] = {nid}
-        else:
-            common = set.intersection(*(pd[s] for s in succs))
-            pd[nid] = {nid} | common
-    return pd
-
-
-def _ipostdom(cfg: Cfg, pd: dict, decision_id: str) -> str:
-    t = cfg.succ(decision_id, THEN)
-    e = cfg.succ(decision_id, ELSE)
-    common = pd[t] & pd[e]
-    nearest = [p for p in common if common <= pd[p]]
-    if len(nearest) != 1:
-        raise CfgError(f"no unique join point for {decision_id}")
-    return nearest[0]
-
-
-# ---------------------------------------------------------------------------
-# DSA transform
-# ---------------------------------------------------------------------------
-
-
-def _current(env: dict):
-    """Map a name to its latest version in `env` (0 when never assigned)."""
-    return lambda name: SsaName(name.base, env.get(name.base, 0))
-
-
-class _DsaWalker:
-    def __init__(self, g: Cfg):
-        self.g = g
-        self.pd = _postdom_sets(g)
-        self.nodes: dict = {}
-        self.edges: dict = {nid: list(outs) for nid, outs in g.edges.items()}
-        self.decision_order: list = []
-        self.cid = 0
-        self.synth_n = 0
-
-    def next_cid(self) -> int:
-        c = self.cid
-        self.cid += 1
-        return c
-
-    def walk(self, nid: str, env: dict, until: str):
-        """Process nodes from `nid` up to (exclusive) `until`.
-
-        Returns the id of the last processed node, or None if the segment
-        was empty.
-        """
-        last = None
-        while nid != until:
-            node = self.g.nodes[nid]
-            if isinstance(node, Entry):
-                self.nodes[nid] = Entry(nid)
-            elif isinstance(node, Exit):
-                self.nodes[nid] = Exit(nid)
-                return nid
-            elif isinstance(node, Block):
-                new_assignments = []
-                for a in node.assignments:
-                    rhs2 = _rename(a.rhs, _current(env))
-                    base = a.target.base
-                    version = 0 if a.init else env.get(base, 0) + 1
-                    env[base] = version
-                    new_assignments.append(
-                        Assignment(
-                            SsaName(base, version),
-                            rhs2,
-                            a.loc,
-                            synthetic=a.synthetic,
-                            init=a.init,
-                            cid=self.next_cid(),
-                        )
-                    )
-                self.nodes[nid] = Block(nid, new_assignments)
-            elif isinstance(node, Decision):
-                guard2 = _rename(node.guard, _current(env))
-                self.nodes[nid] = Decision(nid, guard2, node.loc)
-                self.decision_order.append(nid)
-                join = _ipostdom(self.g, self.pd, nid)
-                env_t = dict(env)
-                env_e = dict(env)
-                last_t = self.walk(self.g.succ(nid, THEN), env_t, join)
-                last_e = self.walk(self.g.succ(nid, ELSE), env_e, join)
-                synth: dict = {THEN: [], ELSE: []}
-                # unify everything both branches know about; names known to
-                # only one side are branch-local and dead past the join
-                for base in [b for b in env_t if b in env_e]:
-                    vt, ve = env_t[base], env_e[base]
-                    if vt == ve:
-                        env[base] = vt
-                        continue
-                    hi, lo = max(vt, ve), min(vt, ve)
-                    copy = Assignment(
-                        SsaName(base, hi),
-                        VarRef(SsaName(base, lo), node.loc),
-                        node.loc,
-                        synthetic=True,
-                        cid=self.next_cid(),
-                    )
-                    # the branch holding the *lower* version lacks the
-                    # assignment and receives the copy
-                    synth[THEN if vt < ve else ELSE].append(copy)
-                    env[base] = hi
-                self._attach_synthetics(nid, THEN, last_t, join, synth[THEN])
-                self._attach_synthetics(nid, ELSE, last_e, join, synth[ELSE])
-                last = nid
-                nid = join
-                continue
-            else:
-                raise CfgError(f"unknown node {node!r}")
-            last = nid
-            succs = self.edges.get(nid, [])
-            if not succs:
-                return last
-            nid = succs[0][1]
-        return last
-
-    def _attach_synthetics(self, dec: str, label: str, last, join: str, copies: list):
-        if not copies:
-            return
-        if last is None:
-            # empty branch: splice a fresh block onto the decision edge
-            bid = f"s{self.synth_n}"
-            self.synth_n += 1
-            self.nodes[bid] = Block(bid, copies)
-            outs = self.edges[dec]
-            self.edges[dec] = [
-                (lab, bid if lab == label else dst) for lab, dst in outs
-            ]
-            self.edges[bid] = [(NEXT, join)]
-        else:
-            host = self.nodes[last]
-            if not isinstance(host, Block):
-                raise CfgError(f"cannot place synthetic copies after {last}")
-            host.assignments.extend(copies)
 
 
 def to_dsa(g: Cfg) -> Cfg:
-    """Rename assignments so each version is assigned at most once per path."""
-    if g.is_dsa:
-        return g
-    w = _DsaWalker(g)
-    env: dict = {p: 0 for p in g.params}
-    w.walk(g.entry, env, until=None)
-    result_name = SsaName(g.result_var, env.get(g.result_var, 0))
-    post = _rename(g.raw_postcondition, _version0, result_name)
-    return Cfg(
-        name=g.name,
-        params=g.params,
-        param_locs=g.param_locs,
-        nodes=w.nodes,
-        edges=w.edges,
-        entry=g.entry,
-        exit=g.exit,
-        decision_order=tuple(w.decision_order),
-        result_var=g.result_var,
-        return_loc=g.return_loc,
-        ensures_loc=g.ensures_loc,
-        raw_postcondition=g.raw_postcondition,
-        raw_precondition=g.raw_precondition,
-        postcondition=post,
-        is_dsa=True,
-    )
+    """Return `g`, which :func:`build_cfg` already built in DSA form.
+
+    Kept only for ``perfbench/run.py``, which still times it as a step.
+    """
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +350,13 @@ def guard_formula(cfg: Cfg, decision_id: str) -> Formula:
 
 
 def post_formula(cfg: Cfg) -> Formula:
-    if cfg.postcondition is None:
-        raise CfgError("postcondition formula requires a DSA-form graph")
     if "post" not in cfg._formula_cache:
         cfg._formula_cache["post"] = bool_expr_to_formula(cfg.postcondition)
     return cfg._formula_cache["post"]
 
 
 def assignment_constraints(cfg: Cfg) -> dict:
-    """cid -> soft Constraint for every block assignment of a DSA graph."""
-    if not cfg.is_dsa:
-        raise CfgError("assignment constraints require a DSA-form graph")
+    """cid -> soft Constraint for every block assignment."""
     if "assignments" not in cfg._formula_cache:
         cfg._formula_cache["assignments"] = {
             a.cid: assign_to_constraint(a.target, a.rhs, a.loc, a.synthetic, a.cid)

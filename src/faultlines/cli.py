@@ -21,7 +21,7 @@ import json
 import re
 import sys
 
-from .cfg import build_cfg, render_dot, to_dsa
+from .cfg import build_cfg, render_dot
 from .explorer import (
     Counterexample,
     ExplorerConfig,
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         print("error: counterexample does not violate the postcondition", file=sys.stderr)
         return EXIT_NOT_A_COUNTEREXAMPLE
 
-    graph = to_dsa(build_cfg(fn))
+    graph = build_cfg(fn)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

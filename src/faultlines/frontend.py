@@ -717,7 +717,7 @@ class _Checker:
                 self.check_expr(s.rhs, scopes, assigned)
                 assigned.add(s.target)
             elif isinstance(s, If):
-                self.check_bool(s.cond, scopes, assigned, allow_result=False, annot=False)
+                self.check_bool(s.cond, scopes, assigned)
                 a_then = set(assigned)
                 a_else = set(assigned)
                 self.check_stmts(s.then_body, scopes + [{}], a_then)
@@ -784,22 +784,21 @@ class _Checker:
                     Diagnostic("non-linear term: product of two variables", e.loc)
                 )
 
-    def check_bool(self, b: BoolExpr, scopes, assigned, allow_result: bool, annot: bool) -> None:
+    def check_bool(self, b: BoolExpr, scopes, assigned) -> None:
         if isinstance(b, Cmp):
             self.check_expr(b.lhs, scopes, assigned)
             self.check_expr(b.rhs, scopes, assigned)
         elif isinstance(b, (BoolAnd, BoolOr)):
-            self.check_bool(b.lhs, scopes, assigned, allow_result, annot)
-            self.check_bool(b.rhs, scopes, assigned, allow_result, annot)
+            self.check_bool(b.lhs, scopes, assigned)
+            self.check_bool(b.rhs, scopes, assigned)
         elif isinstance(b, BoolNot):
-            self.check_bool(b.operand, scopes, assigned, allow_result, annot)
+            self.check_bool(b.operand, scopes, assigned)
         elif isinstance(b, Implies):
-            # grammar only produces Implies in annotations, but hand-built
-            # ASTs may not respect that
-            if not annot:
-                self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
-            self.check_bool(b.antecedent, scopes, assigned, allow_result, annot)
-            self.check_bool(b.consequent, scopes, assigned, allow_result, annot)
+            # the parser accepts '==>' in any condition, so an `if` can carry
+            # one; it is rejected here, as annotations are checked elsewhere
+            self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
+            self.check_bool(b.antecedent, scopes, assigned)
+            self.check_bool(b.consequent, scopes, assigned)
 
 
 def typecheck(fn: Function) -> list[Diagnostic]:

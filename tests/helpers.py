@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from faultlines.cfg import build_cfg, to_dsa
+from faultlines.cfg import build_cfg
 from faultlines.cli import config_from_args  # noqa: F401  (re-exported for the tests)
 from faultlines.explorer import Counterexample
 from faultlines.formulas import (
@@ -55,11 +55,11 @@ def corpus_entry(name: str):
 
 
 def compile_source(text: str) -> tuple:
-    """Parse + typecheck + CFG + DSA; fails the test on diagnostics."""
+    """Parse + typecheck + DSA graph; fails the test on diagnostics."""
     fn = parse_program(text)
     diags = typecheck(fn)
     assert not diags, [str(d) for d in diags]
-    return fn, to_dsa(build_cfg(fn))
+    return fn, build_cfg(fn)
 
 
 def ce_for(fn: Function, mapping) -> Counterexample:

@@ -141,9 +141,9 @@ def test_implies_is_eliminated():
     fn = parse_program(
         "/*@ ensures (x > 0) ==> (\\result == x); */ int f (int x) { return x; }"
     )
-    from faultlines.cfg import build_cfg, to_dsa
+    from faultlines.cfg import build_cfg
 
-    post = to_dsa(build_cfg(fn)).postcondition
+    post = build_cfg(fn).postcondition
     f = bool_expr_to_formula(post)
     assert isinstance(f, Or)
 
