@@ -146,6 +146,16 @@ def test_typecheck_failure_exits_1(tmp_path, capsys):
     assert "'m'" in err
 
 
+def test_implies_in_body_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.src"
+    bad.write_text(
+        "/*@ ensures \\result == x; */ int f (int x) { if (x > 0 ==> x > 1) { x = 1; } return x; }"
+    )
+    code, _, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert code == 1
+    assert "'==>' is only allowed in annotations" in err
+
+
 def test_non_violating_ce_exits_3(capsys):
     # hand simulation: AbsMinus(5, 3) follows the i >= j branch and returns
     # 5 - 3 = 2 = |5-3|, so the postcondition holds

@@ -171,6 +171,18 @@ int f (int x) {
     assert any("before assignment" in d.message for d in typecheck(fn))
 
 
+IMPLIES_IN_BODY = (
+    "/*@ ensures \\result == x; */ int f (int x) { if (x > 0 ==> x > 1) { x = 1; } return x; }"
+)
+
+
+def test_implies_in_if_condition_rejected():
+    # the parser accepts '==>' in any condition; the typechecker rejects it
+    fn = parse_program(IMPLIES_IN_BODY)
+    diags = typecheck(fn)
+    assert [d.message for d in diags] == ["'==>' is only allowed in annotations"]
+
+
 def test_assignment_to_undeclared():
     fn = parse_program("/*@ ensures \\result == 0; */ int f (int x) { q = 1; return x; }")
     assert any("undeclared" in d.message for d in typecheck(fn))
