@@ -211,6 +211,7 @@ class _Builder:
         return self.add(Decision(nid, guard, loc))
 
     def assignment(self, target: SsaName, rhs: Expr, loc: SourceLoc, **flags) -> Assignment:
+        """An assignment numbered with the next constraint id."""
         self.cid += 1
         return Assignment(target, rhs, loc, cid=self.cid - 1, **flags)
 
