@@ -289,6 +289,18 @@ def test_build_requires_return():
         build_cfg(fn)
 
 
+def test_build_refuses_implies_in_if_condition():
+    from faultlines.cfg import CfgError
+
+    # build_cfg takes a typechecked function; this one is not, and '==>'
+    # lowers only in the postcondition
+    fn = parse_program(
+        "/*@ ensures \\result == x; */ int f (int x) { if (x > 0 ==> x > 1) { x = 1; } return x; }"
+    )
+    with pytest.raises(CfgError, match="Implies"):
+        build_cfg(fn)
+
+
 def test_branch_local_declaration_stays_local():
     fn, g = compile_source(
         """/*@ ensures \\result == 0; */
