@@ -14,6 +14,13 @@ input/initial value: parameters start at version 0 and a declaration
 initialiser assigns version 0; ordinary assignments create fresh versions.
 Constraint ids (`cid`) number assignments in that same walk order.
 
+Each expression is lowered to a linear formula over versioned names as it
+is renamed (:func:`~faultlines.formulas.linterm_from_expr`), so the graph
+holds no syntax trees: an assignment carries its right-hand side as a
+:class:`~faultlines.formulas.LinTerm` over earlier versions together with
+its soft constraint `target = rhs`, and decision guards and the
+postcondition are :class:`~faultlines.formulas.Formula` values.
+
 A bare-variable `return x` binds the specification's result directly to
 x's final version.  Any other returned expression becomes an ordinary
 (soft, suspectable) assignment to the reserved variable `_ret` at the
@@ -25,38 +32,19 @@ treated as immutable and may be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .formulas import (
+    Constraint,
     Formula,
+    LinTerm,
     SsaName,
     assign_to_constraint,
     bool_expr_to_formula,
     linterm_from_expr,
 )
-from .frontend import (
-    Add,
-    Assign,
-    BoolAnd,
-    BoolExpr,
-    BoolNot,
-    BoolOr,
-    Cmp,
-    Decl,
-    Expr,
-    Function,
-    If,
-    Implies,
-    IntLit,
-    Mul,
-    Neg,
-    ResultRef,
-    Return,
-    SourceLoc,
-    Sub,
-    VarRef,
-)
+from .frontend import Assign, Decl, Expr, Function, If, Return, SourceLoc, VarRef
 
 RESULT_VAR = "_ret"
 
@@ -68,11 +56,11 @@ NEXT = "next"
 @dataclass
 class Assignment:
     target: SsaName
-    rhs: Expr  # SSA-named expression tree
+    rhs: LinTerm  # affine in earlier versions
     loc: SourceLoc
-    synthetic: bool = False
-    init: bool = False
-    cid: int = -1
+    synthetic: bool
+    cid: int
+    constraint: Constraint  # the soft `target = rhs`, with id `cid`
 
 
 @dataclass
@@ -94,7 +82,7 @@ class Block:
 @dataclass
 class Decision:
     id: str
-    guard: BoolExpr  # SSA-named
+    guard: Formula
     loc: SourceLoc
 
 
@@ -111,8 +99,7 @@ class Cfg:
     result_var: str
     return_loc: SourceLoc
     ensures_loc: SourceLoc
-    postcondition: BoolExpr  # over SsaName; \result is the final result version
-    _formula_cache: dict = field(default_factory=dict, repr=False)
+    postcondition: Formula  # \result is the final result version
 
     def successors(self, nid: str) -> list:
         return self.edges.get(nid, [])
@@ -134,37 +121,6 @@ class CfgError(Exception):
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-def _rename(node, var, result: Optional[SsaName] = None):
-    """Copy an expression or condition, mapping each VarRef name by `var`.
-
-    `result` is the name `\\result` stands for; it is given only for the
-    postcondition, the one place where `\\result` and `==>` may occur.
-    """
-    if isinstance(node, IntLit):
-        return node
-    if isinstance(node, VarRef):
-        return VarRef(var(node.name), node.loc)
-    if isinstance(node, ResultRef) and result is not None:
-        return VarRef(result, node.loc)
-    if isinstance(node, Implies) and result is not None:
-        return Implies(
-            _rename(node.antecedent, var, result),
-            _rename(node.consequent, var, result),
-            node.loc,
-        )
-    if isinstance(node, (Neg, BoolNot)):
-        return type(node)(_rename(node.operand, var, result), node.loc)
-    if isinstance(node, (Add, Sub, Mul, BoolAnd, BoolOr)):
-        return type(node)(
-            _rename(node.lhs, var, result), _rename(node.rhs, var, result), node.loc
-        )
-    if isinstance(node, Cmp):
-        return Cmp(
-            node.op, _rename(node.lhs, var, result), _rename(node.rhs, var, result), node.loc
-        )
-    raise CfgError(f"unsupported expression: {node!r}")
 
 
 def _version0(name: str) -> SsaName:
@@ -201,7 +157,7 @@ class _Builder:
         self.block_n += 1
         return self.add(Block(nid, assignments))
 
-    def new_decision(self, guard: BoolExpr, loc: SourceLoc) -> str:
+    def new_decision(self, guard: Formula, loc: SourceLoc) -> str:
         nid = f"d{loc.line}"
         while nid in self.decision_ids:
             nid += "x"
@@ -210,16 +166,17 @@ class _Builder:
         self.decision_order.append(nid)
         return self.add(Decision(nid, guard, loc))
 
-    def assignment(self, target: SsaName, rhs: Expr, loc: SourceLoc, **flags) -> Assignment:
-        """An assignment numbered with the next constraint id."""
-        self.cid += 1
-        return Assignment(target, rhs, loc, cid=self.cid - 1, **flags)
+    def assignment(self, target: SsaName, rhs: LinTerm, loc: SourceLoc, synthetic=False):
+        """An assignment and its soft constraint, numbered with the next id."""
+        cid, self.cid = self.cid, self.cid + 1
+        c = assign_to_constraint(target, rhs, loc, synthetic, cid)
+        return Assignment(target, rhs, loc, synthetic, cid, c)
 
     def assign(self, env: dict, base: str, rhs: Expr, loc: SourceLoc, init=False) -> Assignment:
         """`base` := `rhs`: a fresh version, or version 0 for an initialiser."""
-        rhs = _rename(rhs, _current(env))
+        term = linterm_from_expr(rhs, _current(env))
         env[base] = 0 if init else env.get(base, 0) + 1
-        return self.assignment(SsaName(base, env[base]), rhs, loc, init=init)
+        return self.assignment(SsaName(base, env[base]), term, loc)
 
     def seq(self, stmts, attach, env: dict) -> tuple:
         """Wire a statement list after `attach` = (src id, edge label).
@@ -246,7 +203,7 @@ class _Builder:
                 pending.append(self.assign(env, s.target, s.rhs, s.loc))
             elif isinstance(s, If):
                 attach = flush(attach)
-                d = self.new_decision(_rename(s.cond, _current(env)), s.loc)
+                d = self.new_decision(bool_expr_to_formula(s.cond, _current(env)), s.loc)
                 self.link(attach[0], attach[1], d)
                 env_t, env_e = dict(env), dict(env)
                 t_at = self.seq(s.then_body, (d, THEN), env_t)
@@ -294,7 +251,7 @@ class _Builder:
                 # and receives the copy, located at the governing decision
                 copy = self.assignment(
                     SsaName(base, env[base]),
-                    VarRef(SsaName(base, min(vt, ve)), loc),
+                    LinTerm.var(SsaName(base, min(vt, ve))),
                     loc,
                     synthetic=True,
                 )
@@ -303,7 +260,11 @@ class _Builder:
 
 
 def build_cfg(fn: Function) -> Cfg:
-    """Lower a typechecked function to its control-flow graph in DSA form."""
+    """Lower a typechecked function to its control-flow graph in DSA form.
+
+    `\\result` and `==>` lower only in the postcondition; anywhere else
+    (which typechecking rules out) they raise TypeError.
+    """
     b = _Builder()
     entry = b.add(Entry("entry"))
     exit_ = b.add(Exit("exit"))
@@ -325,7 +286,7 @@ def build_cfg(fn: Function) -> Cfg:
         result_var=b.result_var,
         return_loc=b.return_loc,
         ensures_loc=fn.ensures_loc,
-        postcondition=_rename(fn.postcondition, _version0, result_name),
+        postcondition=bool_expr_to_formula(fn.postcondition, _version0, result_name),
     )
 
 
@@ -335,35 +296,6 @@ def to_dsa(g: Cfg) -> Cfg:
     Kept only for ``perfbench/run.py``, which still times it as a step.
     """
     return g
-
-
-# ---------------------------------------------------------------------------
-# Derived views
-# ---------------------------------------------------------------------------
-
-
-def guard_formula(cfg: Cfg, decision_id: str) -> Formula:
-    key = ("guard", decision_id)
-    if key not in cfg._formula_cache:
-        node = cfg.nodes[decision_id]
-        cfg._formula_cache[key] = bool_expr_to_formula(node.guard)
-    return cfg._formula_cache[key]
-
-
-def post_formula(cfg: Cfg) -> Formula:
-    if "post" not in cfg._formula_cache:
-        cfg._formula_cache["post"] = bool_expr_to_formula(cfg.postcondition)
-    return cfg._formula_cache["post"]
-
-
-def assignment_constraints(cfg: Cfg) -> dict:
-    """cid -> soft Constraint for every block assignment."""
-    if "assignments" not in cfg._formula_cache:
-        cfg._formula_cache["assignments"] = {
-            a.cid: assign_to_constraint(a.target, a.rhs, a.loc, a.synthetic, a.cid)
-            for a in iter_assignments(cfg)
-        }
-    return cfg._formula_cache["assignments"]
 
 
 def iter_assignments(cfg: Cfg):
@@ -418,12 +350,12 @@ def render_dot(cfg: Cfg) -> str:
         elif isinstance(node, Exit):
             lines.append(f'  "{nid}" [shape=doublecircle, label="exit"];')
         elif isinstance(node, Decision):
-            label = f"{_guard_text(node.guard)}\\nline {node.loc.line}"
+            label = f"{node.guard}\\nline {node.loc.line}"
             lines.append(f'  "{nid}" [shape=diamond, label="{_esc(label)}"];')
         elif isinstance(node, Block):
             rows = []
             for a in node.assignments:
-                txt = f"{a.target} = {linterm_from_expr(a.rhs).render()}"
+                txt = f"{a.target} = {a.rhs.render()}"
                 if a.synthetic:
                     txt += " (synthetic)"
                 rows.append(f"{txt} @ {a.loc.line}")
@@ -436,6 +368,3 @@ def render_dot(cfg: Cfg) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def _guard_text(guard: BoolExpr) -> str:
-    return str(bool_expr_to_formula(guard))

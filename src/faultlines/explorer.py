@@ -45,9 +45,6 @@ from .cfg import (
     Decision,
     Entry,
     Exit,
-    assignment_constraints,
-    guard_formula,
-    post_formula,
 )
 from .formulas import (
     Atom,
@@ -209,8 +206,8 @@ class Report:
 
 
 def _id_base(cfg: Cfg) -> int:
-    t = assignment_constraints(cfg)
-    return (max(t) + 1) if t else 0
+    """The first id after the assignments' cids, which count up from 0."""
+    return sum(len(n.assignments) for n in cfg.nodes.values() if isinstance(n, Block))
 
 
 def input_constraints(cfg: Cfg, ce: Counterexample) -> tuple:
@@ -231,7 +228,7 @@ def input_constraints(cfg: Cfg, ce: Counterexample) -> tuple:
 def postcondition_constraint(cfg: Cfg, ce: Counterexample) -> Constraint:
     return Constraint(
         _id_base(cfg) + len(ce.items),
-        post_formula(cfg),
+        cfg.postcondition,
         ConstraintKind.POSTCONDITION,
         cfg.ensures_loc,
     )
@@ -256,7 +253,6 @@ def propagate(
     escapes the domain box.
     """
     deviations = frozenset(deviations)
-    templates = assignment_constraints(cfg)
     if resume is None:
         for name, value in ce.items:
             if not dom.lo <= value <= dom.hi:
@@ -283,13 +279,12 @@ def propagate(
             continue
         if isinstance(node, Block):
             for a in node.assignments:
-                template = templates[a.cid]
-                value = template.formula.rhs.eval(model)
+                value = a.rhs.eval(model)
                 if not dom.lo <= value <= dom.hi:
                     visited = (s.node for s in decisions)
                     raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
                 model[a.target] = value
-                inst = template.at_path_index(len(collected))
+                inst = a.constraint.at_path_index(len(collected))
                 collected.append(inst)
                 segments[-1].append(inst)
             nid = cfg.successors(nid)[0][1]
@@ -303,7 +298,7 @@ def propagate(
                     Snapshot(nid, len(decisions), len(collected), dict(model),
                              decisions, collected, segments)
                 )
-            value = eval_formula(guard_formula(cfg, nid), model)
+            value = eval_formula(node.guard, model)
             taken = THEN if value else ELSE
             if deviated:
                 taken = ELSE if taken == THEN else THEN
@@ -326,7 +321,7 @@ def propagate(
 
 def path_satisfies_post(trace: PathTrace, cfg: Cfg) -> bool:
     """Inputs fully determine the path, so concrete evaluation decides it."""
-    return eval_formula(post_formula(cfg), trace.final_model)
+    return eval_formula(cfg.postcondition, trace.final_model)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +339,8 @@ class _Backend:
             self.solver = Solver(dom)
             for c in inputs:
                 self.solver.assert_hard(c.formula)
-            self.base_pairs: Optional[list] = None  # segment before 1st decision
-            self.stack: list = []  # (key, frame_id, [(Selector, Constraint)])
+            self.base_sels: Optional[list] = None  # segment before 1st decision
+            self.stack: list = []  # (key, frame_id, [Selector])
 
     def enumerate_for(self, keys, segments, extra_hard, config: McsConfig) -> McsResult:
         """Run one MCS enumeration for a path prefix.
@@ -360,21 +355,18 @@ class _Backend:
         solver = Solver(self.dom)
         for c in self.inputs:
             solver.assert_hard(c.formula)
-        pairs = []
-        for seg in segments:
-            for c in seg:
-                pairs.append((solver.assert_soft(c), c))
+        sels = [solver.assert_soft(c) for seg in segments for c in seg]
         for c in extra_hard:
             solver.assert_hard(c.formula)
-        result = enumerate_on(solver, pairs, config)
+        result = enumerate_on(solver, sels, config)
         for key in self.totals:
             self.totals[key] += solver.stats[key]
         return result
 
     def _enumerate_shared(self, keys, segments, extra_hard, config: McsConfig) -> McsResult:
         solver = self.solver
-        if self.base_pairs is None:
-            self.base_pairs = [(solver.assert_soft(c), c) for c in segments[0]]
+        if self.base_sels is None:
+            self.base_sels = [solver.assert_soft(c) for c in segments[0]]
         shared = 0
         while (
             shared < len(self.stack)
@@ -387,15 +379,15 @@ class _Backend:
             del self.stack[shared:]
         for i in range(shared, len(keys)):
             fid = solver.push()
-            pairs = [(solver.assert_soft(c), c) for c in segments[i + 1]]
-            self.stack.append((keys[i], fid, pairs))
-        pairs = list(self.base_pairs)
-        for _, _, seg_pairs in self.stack:
-            pairs.extend(seg_pairs)
+            sels = [solver.assert_soft(c) for c in segments[i + 1]]
+            self.stack.append((keys[i], fid, sels))
+        sels = list(self.base_sels)
+        for _, _, seg_sels in self.stack:
+            sels.extend(seg_sels)
         fid = solver.push()
         for c in extra_hard:
             solver.assert_hard(c.formula)
-        result = enumerate_on(solver, pairs, config)
+        result = enumerate_on(solver, sels, config)
         solver.pop(fid)
         return result
 
@@ -412,9 +404,9 @@ class _Backend:
 
 def _deviation_requirement(cfg: Cfg, step: DecisionStep, cid: int) -> Constraint:
     """The guard value that forces execution down the flipped branch."""
-    gf = guard_formula(cfg, step.node)
-    formula = gf if step.taken == THEN else negate(gf)
-    return Constraint(cid, formula, ConstraintKind.GUARD, cfg.nodes[step.node].loc)
+    node = cfg.nodes[step.node]
+    formula = node.guard if step.taken == THEN else negate(node.guard)
+    return Constraint(cid, formula, ConstraintKind.GUARD, node.loc)
 
 
 def _deviated_conditions(cfg: Cfg, trace: PathTrace) -> tuple:
@@ -422,7 +414,7 @@ def _deviated_conditions(cfg: Cfg, trace: PathTrace) -> tuple:
     for step in trace.decisions:
         if step.deviated:
             node = cfg.nodes[step.node]
-            out.append(DeviatedCondition(step.node, node.loc, str(guard_formula(cfg, step.node))))
+            out.append(DeviatedCondition(step.node, node.loc, str(node.guard)))
     return tuple(out)
 
 

@@ -5,6 +5,11 @@ Values here are immutable and hashable: versioned variable names
 formulas over linear atoms (:class:`Formula`), and provenance-tagged
 constraints (:class:`Constraint` / :class:`ConstraintSet`).
 
+:func:`linterm_from_expr` and :func:`bool_expr_to_formula` lower source
+expressions and conditions.  They take a renaming map, a function from a
+source variable name to the :class:`SsaName` it stands for, so the graph
+builder renames and lowers in one walk.
+
 Rendering is stable and documented (used verbatim in reports and golden
 files): a constraint prints as e.g. ``k_1 = k_0 + 2 @ line 10``.
 """
@@ -140,33 +145,38 @@ class LinTerm:
         return self.render()
 
 
-def linterm_from_expr(e: Expr) -> LinTerm:
-    """Convert an SSA-named expression tree to a canonical LinTerm.
+def linterm_from_expr(e: Expr, var, result: SsaName | None = None) -> LinTerm:
+    """Lower a source expression to a canonical LinTerm over versioned names.
 
-    Raises NonLinearError on a variable-by-variable product (unreachable
-    for typechecked programs).
+    `var` is the renaming map: it gives the SsaName a source variable
+    stands for at this point of the program.  `result` is the name
+    `\\result` stands for; it is given only for the postcondition, so
+    `\\result` is refused anywhere else.  Raises NonLinearError on a
+    variable-by-variable product (unreachable for typechecked programs).
     """
-    if isinstance(e, IntLit):
-        return LinTerm.constant(e.value)
-    if isinstance(e, VarRef):
-        if not isinstance(e.name, SsaName):
-            raise TypeError(f"expression is not in SSA form: {e.name!r}")
-        return LinTerm.var(e.name)
-    if isinstance(e, Neg):
-        return -linterm_from_expr(e.operand)
-    if isinstance(e, Add):
-        return linterm_from_expr(e.lhs) + linterm_from_expr(e.rhs)
-    if isinstance(e, Sub):
-        return linterm_from_expr(e.lhs) - linterm_from_expr(e.rhs)
-    if isinstance(e, Mul):
-        view = mul_const_view(e)
-        if view is None:
-            raise NonLinearError("product of two variables")
-        k, sub = view
-        return linterm_from_expr(sub).scale(k)
-    if isinstance(e, ResultRef):
-        raise TypeError("\\result must be substituted before constraint conversion")
-    raise TypeError(f"not an expression: {e!r}")
+
+    def lin(e: Expr) -> LinTerm:
+        if isinstance(e, IntLit):
+            return LinTerm.constant(e.value)
+        if isinstance(e, VarRef):
+            return LinTerm.var(var(e.name))
+        if isinstance(e, ResultRef) and result is not None:
+            return LinTerm.var(result)
+        if isinstance(e, Neg):
+            return -lin(e.operand)
+        if isinstance(e, Add):
+            return lin(e.lhs) + lin(e.rhs)
+        if isinstance(e, Sub):
+            return lin(e.lhs) - lin(e.rhs)
+        if isinstance(e, Mul):
+            view = mul_const_view(e)
+            if view is None:
+                raise NonLinearError("product of two variables")
+            k, sub = view
+            return lin(sub).scale(k)
+        raise TypeError(f"not an expression: {e!r}")
+
+    return lin(e)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +238,6 @@ def _paren(f: Formula) -> str:
     if isinstance(f, (And, Or)):
         return f"({f})"
     return str(f)
-
-
-def conj(items: Iterable[Formula]) -> Formula:
-    items = tuple(items)
-    if not items:
-        return TRUE
-    if len(items) == 1:
-        return items[0]
-    return And(items)
 
 
 def disj(items: Iterable[Formula]) -> Formula:
@@ -314,24 +315,28 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def bool_expr_to_formula(b: BoolExpr) -> Formula:
-    """Lower an SSA-named BoolExpr; `==>` is rewritten as Or(Not a, b)."""
-    if isinstance(b, Cmp):
-        return Atom(b.op, linterm_from_expr(b.lhs), linterm_from_expr(b.rhs))
-    if isinstance(b, BoolAnd):
-        return And((bool_expr_to_formula(b.lhs), bool_expr_to_formula(b.rhs)))
-    if isinstance(b, BoolOr):
-        return Or((bool_expr_to_formula(b.lhs), bool_expr_to_formula(b.rhs)))
-    if isinstance(b, BoolNot):
-        return Not(bool_expr_to_formula(b.operand))
-    if isinstance(b, Implies):
-        return Or(
-            (
-                Not(bool_expr_to_formula(b.antecedent)),
-                bool_expr_to_formula(b.consequent),
-            )
-        )
-    raise TypeError(f"not a boolean expression: {b!r}")
+def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None) -> Formula:
+    """Lower a condition, its operands as :func:`linterm_from_expr` does.
+
+    `==>` is rewritten as Or(Not a, b); like `\\result`, it lowers only
+    when `result` is given, i.e. in the postcondition.
+    """
+
+    def form(b: BoolExpr) -> Formula:
+        if isinstance(b, Cmp):
+            return Atom(b.op, linterm_from_expr(b.lhs, var, result),
+                        linterm_from_expr(b.rhs, var, result))
+        if isinstance(b, BoolAnd):
+            return And((form(b.lhs), form(b.rhs)))
+        if isinstance(b, BoolOr):
+            return Or((form(b.lhs), form(b.rhs)))
+        if isinstance(b, BoolNot):
+            return Not(form(b.operand))
+        if isinstance(b, Implies) and result is not None:
+            return Or((Not(form(b.antecedent)), form(b.consequent)))
+        raise TypeError(f"not a boolean expression: {b!r}")
+
+    return form(b)
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +378,14 @@ class Constraint:
 
 def assign_to_constraint(
     target: SsaName,
-    rhs,
+    rhs: LinTerm,
     loc: SourceLoc,
     synthetic: bool = False,
     cid: int = -1,
 ) -> Constraint:
-    """Build the equality constraint for an assignment.
-
-    `rhs` may be an SSA expression tree or an already-converted LinTerm.
-    """
-    rhs_term = rhs if isinstance(rhs, LinTerm) else linterm_from_expr(rhs)
+    """Build the equality constraint `target == rhs` for an assignment."""
     kind = ConstraintKind.SYNTHETIC_COPY if synthetic else ConstraintKind.ASSIGNMENT
-    return Constraint(cid, Atom("==", LinTerm.var(target), rhs_term), kind, loc)
+    return Constraint(cid, Atom("==", LinTerm.var(target), rhs), kind, loc)
 
 
 @dataclass(frozen=True)
@@ -412,6 +413,3 @@ class ConstraintSet:
     @staticmethod
     def of(hard: Iterable[Constraint], soft: Iterable[Constraint]) -> "ConstraintSet":
         return ConstraintSet(tuple(hard), tuple(soft))
-
-    def soft_by_id(self) -> dict:
-        return {c.id: c for c in self.soft}

@@ -8,7 +8,8 @@ to the returned value and is only legal inside `ensures`.
 
 This module provides:
 
-* the AST node types (every node carries a 1-based :class:`SourceLoc`),
+* the AST node types (every node carries a 1-based :class:`SourceLoc`,
+  which AST equality and hashing ignore),
 * :func:`parse_program` (lexer + recursive-descent parser),
 * :func:`typecheck` (scoping, definite assignment, linearity),
 * :func:`pretty` (canonical re-printing, parse-equivalent),
@@ -16,12 +17,13 @@ This module provides:
 
 Loops, floats, calls, arrays and non-linear arithmetic are rejected.
 All functions here are pure; parsing the same text twice yields equal
-ASTs, so values can be shared freely across threads.
+ASTs, so values can be shared freely across threads.  Equality compares
+structure only, so a :func:`pretty` re-print parses equal to its source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 INT64_MIN = -(2**63)
@@ -78,49 +80,47 @@ class Expr:
 @dataclass(frozen=True)
 class IntLit(Expr):
     value: int
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class VarRef(Expr):
-    # `name` is a source identifier (str) in parsed programs; the CFG layer
-    # re-uses these node types with SsaName payloads after renaming.
-    name: object
-    loc: SourceLoc
+    name: str
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class ResultRef(Expr):
     """`\\result` -- only permitted inside `ensures` annotations."""
 
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Add(Expr):
     lhs: Expr
     rhs: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Sub(Expr):
     lhs: Expr
     rhs: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Mul(Expr):
     lhs: Expr
     rhs: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 class BoolExpr:
@@ -132,27 +132,27 @@ class Cmp(BoolExpr):
     op: str  # one of CMP_OPS
     lhs: Expr
     rhs: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class BoolAnd(BoolExpr):
     lhs: BoolExpr
     rhs: BoolExpr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class BoolOr(BoolExpr):
     lhs: BoolExpr
     rhs: BoolExpr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class BoolNot(BoolExpr):
     operand: BoolExpr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class Implies(BoolExpr):
 
     antecedent: BoolExpr
     consequent: BoolExpr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 class Stmt:
@@ -172,14 +172,14 @@ class Stmt:
 class Decl(Stmt):
     name: str
     init: Optional[Expr]
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Assign(Stmt):
     target: str
     rhs: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -187,19 +187,19 @@ class If(Stmt):
     cond: BoolExpr
     then_body: tuple
     else_body: tuple  # empty tuple for `else`-less ifs
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Return(Stmt):
     expr: Expr
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Param:
     name: str
-    loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,8 @@ class Function:
     body: tuple
     precondition: Optional[BoolExpr]
     postcondition: BoolExpr
-    loc: SourceLoc
-    ensures_loc: SourceLoc
+    loc: SourceLoc = field(compare=False)
+    ensures_loc: SourceLoc = field(compare=False)
 
     @property
     def param_names(self) -> tuple:
@@ -878,52 +878,6 @@ def pretty(fn: Function) -> str:
     lines.extend(_p_stmts(fn.body, "  "))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def strip_locs(node):
-    """Structural signature of an AST with locations erased (for equality)."""
-    if isinstance(node, Function):
-        return (
-            "fn",
-            node.name,
-            node.param_names,
-            tuple(strip_locs(s) for s in node.body),
-            strip_locs(node.precondition) if node.precondition is not None else None,
-            strip_locs(node.postcondition),
-        )
-    if isinstance(node, Decl):
-        return ("decl", node.name, strip_locs(node.init) if node.init else None)
-    if isinstance(node, Assign):
-        return ("assign", node.target, strip_locs(node.rhs))
-    if isinstance(node, If):
-        return (
-            "if",
-            strip_locs(node.cond),
-            tuple(strip_locs(s) for s in node.then_body),
-            tuple(strip_locs(s) for s in node.else_body),
-        )
-    if isinstance(node, Return):
-        return ("return", strip_locs(node.expr))
-    if isinstance(node, IntLit):
-        return ("int", node.value)
-    if isinstance(node, VarRef):
-        return ("var", node.name)
-    if isinstance(node, ResultRef):
-        return ("result",)
-    if isinstance(node, Neg):
-        return ("neg", strip_locs(node.operand))
-    if isinstance(node, (Add, Sub, Mul)):
-        tag = {Add: "add", Sub: "sub", Mul: "mul"}[type(node)]
-        return (tag, strip_locs(node.lhs), strip_locs(node.rhs))
-    if isinstance(node, Cmp):
-        return ("cmp", node.op, strip_locs(node.lhs), strip_locs(node.rhs))
-    if isinstance(node, (BoolAnd, BoolOr, Implies)):
-        tag = {BoolAnd: "and", BoolOr: "or", Implies: "implies"}[type(node)]
-        return (tag, strip_locs(node.lhs if not isinstance(node, Implies) else node.antecedent),
-                strip_locs(node.rhs if not isinstance(node, Implies) else node.consequent))
-    if isinstance(node, BoolNot):
-        return ("not", strip_locs(node.operand))
-    raise TypeError(f"unexpected node {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -75,15 +75,14 @@ def _mcs_sort_key(m: Mcs):
     return tuple(sorted((c.path_index for c in m.members), reverse=True))
 
 
-def enumerate_on(solver: Solver, pairs, config: McsConfig) -> McsResult:
+def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
     """Core enumeration over a solver whose hard/soft state is asserted.
 
-    `pairs` is the list of (Selector, Constraint) for the soft constraints,
-    in path order.  Frames pushed here are popped before returning, so the
-    caller's assertion stack is preserved.
+    `sels` are the selectors of the soft constraints, in path order.
+    Frames pushed here are popped before returning, so the caller's
+    assertion stack is preserved.
     """
-    sels = [sel for sel, _ in pairs]
-    by_id = {sel.id: c for sel, c in pairs}
+    by_id = {sel.id: sel.constraint for sel in sels}
 
     fid = solver.push()
     for sel in sels:
@@ -147,5 +146,4 @@ def enumerate_mcs(
     solver = Solver(dom)
     for c in cs.hard:
         solver.assert_hard(c.formula)
-    pairs = [(solver.assert_soft(c), c) for c in cs.soft]
-    return enumerate_on(solver, pairs, config)
+    return enumerate_on(solver, [solver.assert_soft(c) for c in cs.soft], config)

@@ -228,13 +228,12 @@ def test_criterion_6_dsa_invariant_and_semantics(corpus_runs):
             axes = np.meshgrid(
                 *([np.arange(-4, 5)] * len(fn.param_names)), indexing="ij"
             )
-            from faultlines.cfg import post_formula
             from faultlines.formulas import SsaName
 
             result_name = max(
                 (
                     n
-                    for n in formula_vars(post_formula(g))
+                    for n in formula_vars(g.postcondition)
                     if n.base == g.result_var
                 ),
                 key=lambda n: n.version,

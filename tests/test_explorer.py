@@ -18,6 +18,7 @@ from faultlines.explorer import (
     run,
 )
 from faultlines.formulas import SsaName
+from faultlines.frontend import interpret
 from faultlines.mcs import HARD_UNSAT, OK, Mcs, McsConfig, McsResult
 from faultlines.report import render_json, report_document
 from faultlines.solver import DomainConfig
@@ -451,8 +452,8 @@ def test_run_matches_reference_explorer(dom, seed, b_cond):
     assert _outcome(run, g, ce, config) == _outcome(reference_run, g, ce, config)
 
 
-def _every_soft_constraint(solver, pairs, config):
-    return McsResult(tuple(Mcs((c,)) for _, c in pairs), OK)
+def _every_soft_constraint(solver, sels, config):
+    return McsResult(tuple(Mcs((s.constraint,)) for s in sels), OK)
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,3 +466,62 @@ def test_run_matches_reference_explorer_default_domain(seed, b_cond):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("faultlines.explorer.enumerate_on", _every_soft_constraint)
         assert _outcome(run, g, ce, config) == _outcome(reference_run, g, ce, config)
+
+
+# --- seeded bugs -------------------------------------------------------------------
+
+SEEDED_DOM = DomainConfig(-64, 64)
+
+
+def _seeded_bug(rng):
+    """A random program pinned to its result on random inputs, and a `+ 1` mutant.
+
+    Returns (mutant graph, inputs, mutated line), or None when the draw is
+    unusable: the mutant passes, a value leaves SEEDED_DOM, or the two
+    programs take different decisions.
+    """
+    text = random_program(rng, max_depth=3)
+    fn, _ = compile_source(text)
+    inputs = {p: int(rng.integers(-6, 7)) for p in fn.param_names}
+    expected = interpret(fn, inputs).result
+    lines = text.replace("\\result == 0;", f"\\result == {expected};", 1).splitlines()
+    assigned = [
+        i for i, line in enumerate(lines)
+        if " = " in line and line.endswith(";") and "return" not in line and "ensures" not in line
+    ]
+    i = assigned[int(rng.integers(0, len(assigned)))]
+    original = compile_source("\n".join(lines) + "\n")
+    lines[i] = lines[i][:-1] + " + 1;"
+    mutant = compile_source("\n".join(lines) + "\n")
+    if interpret(mutant[0], inputs).postcondition_holds:
+        return None
+    try:
+        runs = [propagate(g, ce_for(f, inputs), (), SEEDED_DOM) for f, g in (original, mutant)]
+    except OverflowAbandonedError:
+        return None
+    if [(s.node, s.taken) for s in runs[0].decisions] != [
+        (s.node, s.taken) for s in runs[1].decisions
+    ]:
+        return None
+    return mutant[1], ce_for(mutant[0], inputs), i + 1
+
+
+def test_seeded_bug_is_a_size_one_mcs_of_the_initial_path():
+    # The paper's evaluation: undoing the mutated assignment restores the
+    # original run, which meets the pinned postcondition, so that
+    # assignment alone is a correction set of the mutant's failing path.
+    rng = np.random.default_rng(2026)
+    config = ExplorerConfig(b_cond=0, mcs=McsConfig(b_mcs=1000, k_max=1), dom=SEEDED_DOM)
+    kept, missed = 0, []
+    for _ in range(400):
+        case = _seeded_bug(rng)
+        if case is None:
+            continue
+        g, ce, line = case
+        kept += 1
+        initial = run(g, ce, config).diagnoses[0]
+        assert initial.kind == "initial_path"
+        if not any(m.cardinality == 1 and m.members[0].loc.line == line for m in initial.mcs):
+            missed.append((g.name, ce.items, line))
+    assert missed == []
+    assert kept >= 60

@@ -17,7 +17,6 @@ from faultlines.frontend import (
     interpret,
     parse_program,
     pretty,
-    strip_locs,
     typecheck,
 )
 
@@ -231,7 +230,7 @@ def test_pretty_roundtrip_corpus():
         text, _, _ = corpus_entry(name)
         fn = parse_program(text)
         again = parse_program(pretty(fn))
-        assert strip_locs(again) == strip_locs(fn)
+        assert again == fn
 
 
 def test_pretty_roundtrip_random_programs():
@@ -241,7 +240,7 @@ def test_pretty_roundtrip_random_programs():
         fn = parse_program(text)
         assert typecheck(fn) == []
         again = parse_program(pretty(fn))
-        assert strip_locs(again) == strip_locs(fn)
+        assert again == fn
 
 
 def test_interpret_absminus():
