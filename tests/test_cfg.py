@@ -215,12 +215,6 @@ def _check_synthetic_copies_are_identity(fn, g):
                 name = alias[name]
             return name
 
-        templates = {}
-        for nid in g.nodes:
-            node = g.nodes[nid]
-            if isinstance(node, Block):
-                for a in node.assignments:
-                    templates[a.cid] = a
         nid = g.entry
         steps = iter(trace.decisions)
         while not isinstance(g.nodes[nid], Exit):

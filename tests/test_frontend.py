@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from faultlines.frontend import (
     BoolAnd,
     Cmp,
     Decl,
+    EvalError,
     If,
     Implies,
     Mul,
@@ -14,13 +19,14 @@ from faultlines.frontend import (
     Sub,
     UnsupportedConstructError,
     VarRef,
+    _tokenize,
     interpret,
     parse_program,
     pretty,
     typecheck,
 )
 
-from helpers import corpus_entry, random_program
+from helpers import ROOT, corpus_entry, random_program
 
 IDENTITY = """\
 /*@ ensures \\result == x; */
@@ -122,6 +128,136 @@ def test_syntax_error_carries_location():
         assert e.loc.line == 1 and e.loc.column > 1
     else:
         pytest.fail("expected a parse error")
+
+
+def _token_rows(src):
+    return [(t.kind, t.text, t.loc.line, t.loc.column) for t in _tokenize(src)]
+
+
+# sha256 over one "kind\ttext\tline\tcolumn" line per token, and the token
+# count, as the character-by-character lexer produced them for the five
+# corpus programs and Tritype
+PINNED_TOKEN_DIGESTS = {
+    "absminus": (103, "1d501fbedd758bbd19d959d94fb9a81a2d96f20c8beb7cc011323010c5707304"),
+    "atleastten": (60, "443a2d89ad40e78135f9e8860879a962eaa8669406b0bd3187ca41630c066434"),
+    "bonus": (81, "b00578347860db9146842043c9e681e65d11c8ae61b33ced50d3845169158ca6"),
+    "capatten": (63, "e8c7f905341e87f71fa71d83f83034213bffe80bc0f17e3f214aeda8a9382c1b"),
+    "tritype": (391, "6fee69afcfd0b2dfd0d49dc299bca1ade1ba70135353213d8252e15294ab2e92"),
+    "twiceplusone": (32, "5b00932581f8762b6ee7a5c1960852a89773559c501a22055891d5cda4a9b247"),
+}
+
+
+def _token_digest(src):
+    rows = _token_rows(src)
+    text = "\n".join("\t".join(map(str, row)) for row in rows)
+    return len(rows), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TOKEN_DIGESTS))
+def test_tokens_of_corpus_and_tritype_are_pinned(name):
+    if name == "tritype":
+        text = (ROOT / "perfbench" / "tritype" / "tritype.src").read_text()
+    else:
+        text, _, _ = corpus_entry(name)
+    assert _token_digest(text) == PINNED_TOKEN_DIGESTS[name]
+
+
+def test_tokens_pinned_crlf_tabs_and_comments():
+    src = (
+        "// leading comment\r\n/*@ ensures \\result == x; */\r\nint f (int x) {\r\n"
+        "\tint y = x; /* block\r\n comment */ y = y*2;\r\n\treturn y; // done\r\n}\r\n"
+    )
+    assert _token_rows(src) == [
+        ("annot_open", "/*@", 2, 1), ("ensures", "ensures", 2, 5),
+        ("result", "\\result", 2, 13), ("==", "==", 2, 21), ("ident", "x", 2, 24),
+        (";", ";", 2, 25), ("annot_close", "*/", 2, 27),
+        ("int", "int", 3, 1), ("ident", "f", 3, 5), ("(", "(", 3, 7), ("int", "int", 3, 8),
+        ("ident", "x", 3, 12), (")", ")", 3, 13), ("{", "{", 3, 15),
+        ("int", "int", 4, 2), ("ident", "y", 4, 6), ("=", "=", 4, 8), ("ident", "x", 4, 10),
+        (";", ";", 4, 11),
+        ("ident", "y", 5, 13), ("=", "=", 5, 15), ("ident", "y", 5, 17), ("*", "*", 5, 18),
+        ("num", "2", 5, 19), (";", ";", 5, 20),
+        ("return", "return", 6, 2), ("ident", "y", 6, 9), (";", ";", 6, 10),
+        ("}", "}", 7, 1), ("eof", "", 8, 1),
+    ]
+
+
+def test_tokens_pinned_jml_continuation_and_close_outside_annotation():
+    # `@` after a line break inside `/*@ ... */` is skipped; outside an
+    # annotation `*/*` is `*` followed by a block comment
+    src = (
+        "/*@ requires x > 0;\n @ ensures\n @   \\result >= x ==> x != 0; */\n"
+        "int f (int x) { return x */* c */ 2 - 9223372036854775807; }"
+    )
+    assert _token_rows(src) == [
+        ("annot_open", "/*@", 1, 1), ("requires", "requires", 1, 5), ("ident", "x", 1, 14),
+        (">", ">", 1, 16), ("num", "0", 1, 18), (";", ";", 1, 19),
+        ("ensures", "ensures", 2, 4),
+        ("result", "\\result", 3, 6), (">=", ">=", 3, 14), ("ident", "x", 3, 17),
+        ("==>", "==>", 3, 19), ("ident", "x", 3, 23), ("!=", "!=", 3, 25), ("num", "0", 3, 28),
+        (";", ";", 3, 29), ("annot_close", "*/", 3, 31),
+        ("int", "int", 4, 1), ("ident", "f", 4, 5), ("(", "(", 4, 7), ("int", "int", 4, 8),
+        ("ident", "x", 4, 12), (")", ")", 4, 13), ("{", "{", 4, 15),
+        ("return", "return", 4, 17), ("ident", "x", 4, 24), ("*", "*", 4, 26),
+        ("num", "2", 4, 35), ("-", "-", 4, 37), ("num", "9223372036854775807", 4, 39),
+        (";", ";", 4, 58), ("}", "}", 4, 60), ("eof", "", 4, 61),
+    ]
+
+
+def test_tokens_pinned_operators_and_keywords():
+    src = (
+        "/*@ ensures !(\\result <= 0) || \\resultx < 1 && x == -1; */ class C { "
+        "int g(int x,int y){if(x>=y)x=y;else{y=x;}return x-y;} }"
+    )
+    assert {row[2] for row in _token_rows(src)} == {1}
+    assert [(kind, text, col) for kind, text, _, col in _token_rows(src)] == [
+        ("annot_open", "/*@", 1), ("ensures", "ensures", 5), ("!", "!", 13), ("(", "(", 14),
+        ("result", "\\result", 15), ("<=", "<=", 23), ("num", "0", 26), (")", ")", 27),
+        ("||", "||", 29), ("result", "\\result", 32), ("ident", "x", 39), ("<", "<", 41),
+        ("num", "1", 43), ("&&", "&&", 45), ("ident", "x", 48), ("==", "==", 50),
+        ("-", "-", 53), ("num", "1", 54), (";", ";", 55), ("annot_close", "*/", 57),
+        ("class", "class", 60), ("ident", "C", 66), ("{", "{", 68), ("int", "int", 70),
+        ("ident", "g", 74), ("(", "(", 75), ("int", "int", 76), ("ident", "x", 80),
+        (",", ",", 81), ("int", "int", 82), ("ident", "y", 86), (")", ")", 87),
+        ("{", "{", 88), ("if", "if", 89), ("(", "(", 91), ("ident", "x", 92),
+        (">=", ">=", 93), ("ident", "y", 95), (")", ")", 96), ("ident", "x", 97),
+        ("=", "=", 98), ("ident", "y", 99), (";", ";", 100), ("else", "else", 101),
+        ("{", "{", 105), ("ident", "y", 106), ("=", "=", 107), ("ident", "x", 108),
+        (";", ";", 109), ("}", "}", 110), ("return", "return", 111), ("ident", "x", 118),
+        ("-", "-", 119), ("ident", "y", 120), (";", ";", 121), ("}", "}", 122),
+        ("}", "}", 124), ("eof", "", 125),
+    ]
+
+
+MALFORMED = [
+    ("int f /* open\n x", ParseError, "unterminated comment", 1, 7),
+    ("return 1.5;", UnsupportedConstructError, "unsupported construct: float literal", 1, 8),
+    ("  while (x) {}", UnsupportedConstructError, "unsupported construct: loop", 1, 3),
+    ("int f (double x)", UnsupportedConstructError,
+     "unsupported construct: floating-point type", 1, 8),
+    ("x = x / 2;", UnsupportedConstructError, "unsupported construct: operator '/'", 1, 7),
+    ("x = x % 2;", UnsupportedConstructError, "unsupported construct: operator '%'", 1, 7),
+    ("int _x;", ParseError, "unexpected character '_'", 1, 5),
+    ("int x; @", ParseError, "unexpected character '@'", 1, 8),
+    ("/*@ ensures @ x; */", ParseError, "unexpected character '@'", 1, 13),
+    ("return 9223372036854775808;", ParseError,
+     "integer literal out of 64-bit range: 9223372036854775808", 1, 8),
+    ("/*@ ensures x == 0; // c\n */", UnsupportedConstructError,
+     "unsupported construct: operator '/'", 1, 21),
+    ("/*@ ensures x == 0;\n /*@ */", UnsupportedConstructError,
+     "unsupported construct: operator '/'", 2, 2),
+    ("int f (int x) { return x */ 2; }", UnsupportedConstructError,
+     "unsupported construct: operator '/'", 1, 27),
+]
+
+
+@pytest.mark.parametrize("src, cls, message, line, column", MALFORMED)
+def test_malformed_input_error_is_pinned(src, cls, message, line, column):
+    with pytest.raises(cls) as info:
+        _tokenize(src)
+    assert type(info.value) is cls
+    assert info.value.message == message
+    assert (info.value.loc.line, info.value.loc.column) == (line, column)
 
 
 def test_typecheck_absminus_clean():
@@ -261,6 +397,56 @@ def test_interpret_precondition():
     )
     assert interpret(fn, {"x": 3}).precondition_holds
     assert not interpret(fn, {"x": -1}).precondition_holds
+
+
+@pytest.mark.parametrize(
+    "op, py",
+    [
+        ("==", operator.eq),
+        ("!=", operator.ne),
+        ("<", operator.lt),
+        ("<=", operator.le),
+        (">", operator.gt),
+        (">=", operator.ge),
+    ],
+)
+def test_interpret_comparison_matches_python(op, py):
+    fn = parse_program(
+        f"/*@ ensures x {op} y; */ int f (int x, int y) "
+        f"{{ int r = 0; if (x {op} y) {{ r = 1; }} return r; }}"
+    )
+    for x, y in itertools.product(range(-2, 3), repeat=2):
+        out = interpret(fn, {"x": x, "y": y})
+        assert out.result == int(py(x, y)), (x, y)
+        assert out.postcondition_holds is py(x, y), (x, y)
+
+
+@pytest.mark.parametrize(
+    "cond, py",
+    [
+        ("(a > 0) && (b > 0)", lambda a, b: a and b),
+        ("(a > 0) || (b > 0)", lambda a, b: a or b),
+        ("!(a > 0)", lambda a, b: not a),
+        ("(a > 0) ==> (b > 0)", lambda a, b: (not a) or b),
+    ],
+)
+def test_interpret_connective_matches_python(cond, py):
+    # the parser accepts `==>` in an `if` too; typecheck rejects it there
+    fn = parse_program(
+        f"/*@ ensures {cond}; */ int f (int a, int b) "
+        f"{{ int r = 0; if ({cond}) {{ r = 1; }} return r; }}"
+    )
+    for a, b in itertools.product((0, 1), repeat=2):
+        out = interpret(fn, {"a": a, "b": b})
+        expected = py(a > 0, b > 0)
+        assert out.result == int(expected), (a, b)
+        assert out.postcondition_holds is expected, (a, b)
+
+
+def test_interpret_missing_input_raises():
+    fn = parse_program("/*@ ensures \\result == x; */ int f (int x, int y) { return x; }")
+    with pytest.raises(EvalError, match=r"^missing input\(s\): y$"):
+        interpret(fn, {"x": 1})
 
 
 def test_paren_ambiguity():
