@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .frontend import (
+    CMP_EVAL,
     Add,
     BoolAnd,
     BoolExpr,
@@ -290,20 +291,10 @@ def formula_vars(f: Formula) -> set:
     return set()
 
 
-_OP_EVAL = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     """Evaluate under a total assignment; raises UnboundVariableError."""
     if isinstance(f, Atom):
-        return _OP_EVAL[f.op](f.lhs.eval(model), f.rhs.eval(model))
+        return CMP_EVAL[f.op](f.lhs.eval(model), f.rhs.eval(model))
     if isinstance(f, And):
         return all(eval_formula(i, model) for i in f.items)
     if isinstance(f, Or):

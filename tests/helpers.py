@@ -19,7 +19,6 @@ from faultlines.cfg import build_cfg
 from faultlines.cli import config_from_args  # noqa: F401  (re-exported for the tests)
 from faultlines.explorer import Counterexample
 from faultlines.formulas import (
-    _OP_EVAL,
     And,
     Atom,
     BoolConst,
@@ -35,7 +34,7 @@ from faultlines.formulas import (
     eval_formula,
     formula_vars,
 )
-from faultlines.frontend import Function, parse_program, typecheck
+from faultlines.frontend import CMP_EVAL, Function, parse_program, typecheck
 from faultlines.solver import DomainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,7 +113,7 @@ def eval_formula_grid(f: Formula, grids: Mapping[SsaName, np.ndarray]) -> np.nda
                 total = total + c * grids[n]
             return total
 
-        return _OP_EVAL[f.op](term(f.lhs), term(f.rhs))
+        return CMP_EVAL[f.op](term(f.lhs), term(f.rhs))
     if isinstance(f, And):
         out = np.ones(_grid_shape(grids), dtype=bool)
         for i in f.items:

@@ -138,6 +138,30 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "loop" in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "/*@ ensures \\result == x; */\nint f (int x) {\n  return x + ²;\n}\n",
+            "error: line 3:14: unexpected character '²'",
+        ),
+        (
+            "/*@ ensures \\result == x; */\nint f (int x) {\n  int é = x;\n"
+            "  return é + ١;\n}\n",
+            "error: line 3:7: unexpected character 'é'",
+        ),
+    ],
+    ids=["superscript-digit", "non-ascii-identifier"],
+)
+def test_non_ascii_character_exits_1(tmp_path, capsys, source, message):
+    bad = tmp_path / "bad.src"
+    bad.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_typecheck_failure_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.src"
     bad.write_text("/*@ ensures \\result == x; */ int f (int x) { return m; }")

@@ -248,6 +248,11 @@ MALFORMED = [
      "unsupported construct: operator '/'", 2, 2),
     ("int f (int x) { return x */ 2; }", UnsupportedConstructError,
      "unsupported construct: operator '/'", 1, 27),
+    # identifiers and literals are ASCII only (docs/grammar.md)
+    ("return x + ²;", ParseError, "unexpected character '²'", 1, 12),
+    ("int é = x;", ParseError, "unexpected character 'é'", 1, 5),
+    ("return x + ١;", ParseError, "unexpected character '١'", 1, 12),
+    ("int x1²;", ParseError, "unexpected character '²'", 1, 7),
 ]
 
 
