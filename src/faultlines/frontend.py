@@ -297,8 +297,7 @@ class Token(NamedTuple):
 
 
 def _tokenize(src: str) -> list[Token]:
-    line_starts = [0]
-    line_starts += [m.end() for m in re.finditer("\n", src)]
+    line_starts = [0] + [m.end() for m in re.finditer("\n", src)]
 
     def loc(pos: int) -> SourceLoc:
         line = bisect_right(line_starts, pos)
@@ -323,7 +322,9 @@ def _tokenize(src: str) -> list[Token]:
             if text in _LOOP_KEYWORDS:
                 raise UnsupportedConstructError("unsupported construct: loop", loc(pos))
             if text in _FLOAT_KEYWORDS:
-                raise UnsupportedConstructError("unsupported construct: floating-point type", loc(pos))
+                raise UnsupportedConstructError(
+                    "unsupported construct: floating-point type", loc(pos)
+                )
             if text in _KEYWORDS:
                 kind = text
         elif kind == "op":
@@ -343,7 +344,9 @@ def _tokenize(src: str) -> list[Token]:
             pass
         elif in_annot or kind == "bad_op":
             # comments do not nest in an annotation: there `/` is an operator
-            raise UnsupportedConstructError(f"unsupported construct: operator '{text[0]}'", loc(pos))
+            raise UnsupportedConstructError(
+                f"unsupported construct: operator '{text[0]}'", loc(pos)
+            )
         elif kind == "annot_open":
             in_annot = True
         elif kind == "open_comment":
