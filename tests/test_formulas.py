@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,14 @@ from faultlines.formulas import (
     SsaName,
     TRUE,
     assign_to_constraint,
+    bool_expr_to_formula,
     eval_formula,
     formula_vars,
     linterm_from_expr,
     negate,
     nnf,
 )
+from faultlines import frontend as fe
 from faultlines.frontend import SourceLoc, parse_program
 
 from helpers import eval_formula_grid
@@ -214,3 +218,44 @@ def test_grid_eval_matches_scalar_eval(f):
 def test_formula_vars():
     f = And((atom("==", var(I0), const(0)), Or((atom("<", var(J0), var(K1)), TRUE))))
     assert formula_vars(f) == {I0, J0, K1}
+
+
+# --- lowering against the reference interpreter ----------------------------------
+
+_AT = SourceLoc(1, 1)
+_RESULT = SsaName("r", 1)
+
+
+def _source_exprs():
+    const = st.integers(-3, 3).map(lambda v: fe.IntLit(v, _AT))
+    leaves = const | st.sampled_from([fe.VarRef("a", _AT), fe.VarRef("b", _AT), fe.ResultRef(_AT)])
+    return st.recursive(
+        leaves,
+        lambda kids: st.builds(fe.Add, kids, kids, st.just(_AT))
+        | st.builds(fe.Sub, kids, kids, st.just(_AT))
+        | st.builds(fe.Neg, kids, st.just(_AT))
+        | st.builds(fe.Mul, const, kids, st.just(_AT))
+        | st.builds(fe.Mul, kids, const, st.just(_AT)),
+        max_leaves=4,
+    )
+
+
+def _source_conds():
+    exprs = _source_exprs()
+    return st.recursive(
+        st.builds(fe.Cmp, st.sampled_from(fe.CMP_OPS), exprs, exprs, st.just(_AT)),
+        lambda kids: st.builds(fe.BoolAnd, kids, kids, st.just(_AT))
+        | st.builds(fe.BoolOr, kids, kids, st.just(_AT))
+        | st.builds(fe.BoolNot, kids, st.just(_AT))
+        | st.builds(fe.Implies, kids, kids, st.just(_AT)),
+        max_leaves=5,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_source_conds())
+def test_lowered_condition_evaluates_as_interpreted(cond):
+    f = bool_expr_to_formula(cond, lambda n: SsaName(n, 0), _RESULT)
+    for a, b, r in itertools.product(range(-2, 3), repeat=3):
+        model = {SsaName("a", 0): a, SsaName("b", 0): b, _RESULT: r}
+        assert eval_formula(f, model) == fe.eval_bool(cond, {"a": a, "b": b, "\\result": r})

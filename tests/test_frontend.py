@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import operator
@@ -16,6 +17,7 @@ from faultlines.frontend import (
     ParseError,
     ResultRef,
     Return,
+    SourceLoc,
     Sub,
     UnsupportedConstructError,
     VarRef,
@@ -333,6 +335,102 @@ def test_annotation_vars_must_be_parameters():
         "/*@ ensures \\result == y; */ int f (int x) { int y = x; return y; }"
     )
     assert any("not a parameter" in d.message for d in typecheck(fn))
+
+
+NONLINEAR = "non-linear term: product of two variables"
+
+# Every body diagnostic, in order: `(x - x) * y` stays non-linear although
+# `x - x` folds to 0, and `2 * (3 - 1) * x` is linear.
+ILL_TYPED_BODY = """\
+/*@ requires x > 0; ensures \\result == x; */
+int f (int x, int y, int x) {
+  int a = m + x;
+  q = 1;
+  int b;
+  if (x > 0) { b = 1; }
+  a = b + 1;
+  int a = 2;
+  a = x * y;
+  a = (x - x) * y;
+  a = 2 * (3 - 1) * x + x * -2;
+  if (x > 0 ==> y * 2 > 0) { a = 1; }
+  if (!(x * y > 0) || (u < 0)) { int c = 1; }
+  a = c;
+  return a;
+}
+"""
+
+# Every annotation diagnostic; `==>` is legal here.
+ILL_TYPED_ANNOTATIONS = """\
+/*@ requires x * y > 0 && z > 0;
+  @ ensures (\\result * x == 0) ==> !(w == (x - x) * y) || \\result == 2 * (3 - 1) * x - \\result * 3;
+  @*/
+int f (int x, int y) {
+  int z = x;
+  return z;
+}
+"""
+
+
+def _result_in_requires_and_body():
+    # the parser refuses `\result` outside `ensures`, so only a hand-built
+    # AST reaches these two diagnostics
+    fn = parse_program(ILL_TYPED_ANNOTATIONS)
+    at = SourceLoc
+    ret = Return(Mul(ResultRef(at(6, 10)), VarRef("x", at(6, 20)), at(6, 15)), at(6, 3))
+    return dataclasses.replace(fn, precondition=fn.postcondition, body=(ret,))
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        (
+            parse_program(ILL_TYPED_BODY),
+            [
+                ("duplicate parameter 'x'", 2, 26),
+                ("use of undeclared variable 'm'", 3, 11),
+                ("assignment to undeclared variable 'q'", 4, 3),
+                ("variable 'b' may be used before assignment", 7, 7),
+                ("redeclaration of 'a'", 8, 7),
+                (NONLINEAR, 9, 9),
+                (NONLINEAR, 10, 15),
+                ("'==>' is only allowed in annotations", 12, 13),
+                (NONLINEAR, 13, 11),
+                ("use of undeclared variable 'u'", 13, 24),
+                ("use of undeclared variable 'c'", 14, 7),
+            ],
+        ),
+        (
+            parse_program(ILL_TYPED_ANNOTATIONS),
+            [
+                (NONLINEAR, 1, 16),
+                ("annotation refers to 'z', which is not a parameter", 1, 27),
+                (NONLINEAR, 2, 22),
+                ("annotation refers to 'w', which is not a parameter", 2, 38),
+                (NONLINEAR, 2, 51),
+            ],
+        ),
+        (
+            _result_in_requires_and_body(),
+            [
+                ("\\result is not allowed in function bodies", 6, 10),
+                (NONLINEAR, 6, 15),
+                ("\\result is only allowed in 'ensures'", 2, 14),
+                (NONLINEAR, 2, 22),
+                ("annotation refers to 'w', which is not a parameter", 2, 38),
+                (NONLINEAR, 2, 51),
+                ("\\result is only allowed in 'ensures'", 2, 59),
+                ("\\result is only allowed in 'ensures'", 2, 88),
+                (NONLINEAR, 2, 22),
+                ("annotation refers to 'w', which is not a parameter", 2, 38),
+                (NONLINEAR, 2, 51),
+            ],
+        ),
+    ],
+    ids=["body", "annotations", "result-outside-ensures"],
+)
+def test_typecheck_diagnostics_are_pinned(fn, expected):
+    assert [(d.message, d.loc.line, d.loc.column) for d in typecheck(fn)] == expected
 
 
 def test_mul_parse_shape():
