@@ -3,12 +3,15 @@
 Values here are immutable and hashable: versioned variable names
 (:class:`SsaName`), canonical linear terms (:class:`LinTerm`), boolean
 formulas over linear atoms (:class:`Formula`), and provenance-tagged
-constraints (:class:`Constraint` / :class:`ConstraintSet`).
+constraints (:class:`Constraint` / :class:`ConstraintSet`).  Formulas
+have no negation node: they are built in negation normal form, and
+:func:`negate` flips atom operators and swaps `And`/`Or`.
 
 :func:`linterm_from_expr` and :func:`bool_expr_to_formula` lower source
-expressions and conditions.  They take a renaming map, a function from a
-source variable name to the :class:`SsaName` it stands for, so the graph
-builder renames and lowers in one walk.
+expressions and conditions, the latter in negation normal form.  They
+take a renaming map, a function from a source variable name to the
+:class:`SsaName` it stands for, so the graph builder renames and lowers
+in one walk.
 
 Rendering is stable and documented (used verbatim in reports and golden
 files): a constraint prints as e.g. ``k_1 = k_0 + 2 @ line 10``.
@@ -37,7 +40,6 @@ from .frontend import (
     SourceLoc,
     Sub,
     VarRef,
-    mul_const_view,
 )
 
 CMP_FLIP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
@@ -152,8 +154,9 @@ def linterm_from_expr(e: Expr, var, result: SsaName | None = None) -> LinTerm:
     `var` is the renaming map: it gives the SsaName a source variable
     stands for at this point of the program.  `result` is the name
     `\\result` stands for; it is given only for the postcondition, so
-    `\\result` is refused anywhere else.  Raises NonLinearError on a
-    variable-by-variable product (unreachable for typechecked programs).
+    `\\result` is refused anywhere else.  A product scales the operand
+    that has coefficients by the one that has none; NonLinearError when
+    both have coefficients (unreachable for typechecked programs).
     """
 
     def lin(e: Expr) -> LinTerm:
@@ -170,11 +173,12 @@ def linterm_from_expr(e: Expr, var, result: SsaName | None = None) -> LinTerm:
         if isinstance(e, Sub):
             return lin(e.lhs) - lin(e.rhs)
         if isinstance(e, Mul):
-            view = mul_const_view(e)
-            if view is None:
-                raise NonLinearError("product of two variables")
-            k, sub = view
-            return lin(sub).scale(k)
+            a, b = lin(e.lhs), lin(e.rhs)
+            if not a.coeffs:
+                return b.scale(a.const)
+            if not b.coeffs:
+                return a.scale(b.const)
+            raise NonLinearError("product of two variables")
         raise TypeError(f"not an expression: {e!r}")
 
     return lin(e)
@@ -216,14 +220,6 @@ class Or(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
-    item: Formula
-
-    def __str__(self) -> str:
-        return f"!({self.item})"
-
-
-@dataclass(frozen=True)
 class BoolConst(Formula):
     value: bool
 
@@ -250,19 +246,6 @@ def disj(items: Iterable[Formula]) -> Formula:
     return Or(items)
 
 
-def nnf(f: Formula) -> Formula:
-    """Push negations to the atoms (Not nodes are eliminated)."""
-    if isinstance(f, (Atom, BoolConst)):
-        return f
-    if isinstance(f, And):
-        return And(tuple(nnf(i) for i in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(nnf(i) for i in f.items))
-    if isinstance(f, Not):
-        return negate(f.item)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def negate(f: Formula) -> Formula:
     """Logical negation in negation normal form; atoms flip their operator."""
     if isinstance(f, Atom):
@@ -273,8 +256,6 @@ def negate(f: Formula) -> Formula:
         return Or(tuple(negate(i) for i in f.items))
     if isinstance(f, Or):
         return And(tuple(negate(i) for i in f.items))
-    if isinstance(f, Not):
-        return nnf(f.item)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -286,8 +267,6 @@ def formula_vars(f: Formula) -> set:
         for i in f.items:
             out |= formula_vars(i)
         return out
-    if isinstance(f, Not):
-        return formula_vars(f.item)
     return set()
 
 
@@ -299,8 +278,6 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
         return all(eval_formula(i, model) for i in f.items)
     if isinstance(f, Or):
         return any(eval_formula(i, model) for i in f.items)
-    if isinstance(f, Not):
-        return not eval_formula(f.item, model)
     if isinstance(f, BoolConst):
         return f.value
     raise TypeError(f"not a formula: {f!r}")
@@ -309,8 +286,10 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
 def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None) -> Formula:
     """Lower a condition, its operands as :func:`linterm_from_expr` does.
 
-    `==>` is rewritten as Or(Not a, b); like `\\result`, it lowers only
-    when `result` is given, i.e. in the postcondition.
+    The result is in negation normal form: `!b` lowers to the
+    :func:`negate` of `b`, and `a ==> b` to `Or(negate(a), b)`.  Like
+    `\\result`, `==>` lowers only when `result` is given, i.e. in the
+    postcondition.
     """
 
     def form(b: BoolExpr) -> Formula:
@@ -322,9 +301,9 @@ def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None) -> For
         if isinstance(b, BoolOr):
             return Or((form(b.lhs), form(b.rhs)))
         if isinstance(b, BoolNot):
-            return Not(form(b.operand))
+            return negate(form(b.operand))
         if isinstance(b, Implies) and result is not None:
-            return Or((Not(form(b.antecedent)), form(b.consequent)))
+            return Or((negate(form(b.antecedent)), form(b.consequent)))
         raise TypeError(f"not a boolean expression: {b!r}")
 
     return form(b)

@@ -29,6 +29,7 @@ import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 INT64_MIN = -(2**63)
@@ -78,8 +79,8 @@ class SourceLoc:
 # ---------------------------------------------------------------------------
 #
 # Arithmetic expressions.  `Mul` is kept general so the typechecker can
-# report a linearity diagnostic for `x*y`; well-typed programs only ever
-# contain multiplications with a constant-valued side (see `mul_const_view`).
+# report a linearity diagnostic for `x*y`; in a well-typed program one
+# operand of every multiplication mentions no variable.
 
 
 class Expr:
@@ -224,40 +225,6 @@ class Function:
     @property
     def param_names(self) -> tuple:
         return tuple(p.name for p in self.params)
-
-
-def mul_const_view(e: Mul) -> Optional[tuple[int, Expr]]:
-    """View a Mul node as (constant, expr) when one side is constant.
-
-    Returns None when both sides mention variables (the linearity
-    diagnostic case).
-    """
-    lc = const_value(e.lhs)
-    if lc is not None:
-        return lc, e.rhs
-    rc = const_value(e.rhs)
-    if rc is not None:
-        return rc, e.lhs
-    return None
-
-
-def const_value(e: Expr) -> Optional[int]:
-    """Constant-fold an expression; None when it mentions a variable."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Neg):
-        v = const_value(e.operand)
-        return None if v is None else -v
-    if isinstance(e, Add):
-        a, b = const_value(e.lhs), const_value(e.rhs)
-        return None if a is None or b is None else a + b
-    if isinstance(e, Sub):
-        a, b = const_value(e.lhs), const_value(e.rhs)
-        return None if a is None or b is None else a - b
-    if isinstance(e, Mul):
-        a, b = const_value(e.lhs), const_value(e.rhs)
-        return None if a is None or b is None else a * b
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -674,22 +641,44 @@ class _Checker:
         # one declaration per name per function: initialisers assign
         # version 0, which must be unambiguous downstream
         self.ever_declared = set(declared)
-        assigned = set(declared)
-        self.check_stmts(self.fn.body, [declared], assigned)
-        param_set = set(p.name for p in self.fn.params)
+        params = set(declared)
+        self.check_stmts(self.fn.body, [declared], set(declared))
         if self.fn.precondition is not None:
-            self.check_annot(self.fn.precondition, param_set, allow_result=False)
-        self.check_annot(self.fn.postcondition, param_set, allow_result=True)
+            self.check_bool(self.fn.precondition, partial(self.annot_name, params, False), True)
+        self.check_bool(self.fn.postcondition, partial(self.annot_name, params, True), True)
         return self.diags
 
+    # The two rules for a name: the `leaf` argument of the walkers below.
+
+    def body_name(self, scopes: list[dict], assigned: set, e) -> None:
+        if isinstance(e, ResultRef):
+            self.diags.append(Diagnostic("\\result is not allowed in function bodies", e.loc))
+        elif not any(e.name in frame for frame in scopes):
+            self.diags.append(Diagnostic(f"use of undeclared variable '{e.name}'", e.loc))
+        elif e.name not in assigned:
+            self.diags.append(
+                Diagnostic(f"variable '{e.name}' may be used before assignment", e.loc)
+            )
+
+    def annot_name(self, params: set, allow_result: bool, e) -> None:
+        if isinstance(e, ResultRef):
+            if not allow_result:
+                self.diags.append(Diagnostic("\\result is only allowed in 'ensures'", e.loc))
+        elif e.name not in params:
+            self.diags.append(
+                Diagnostic(f"annotation refers to '{e.name}', which is not a parameter", e.loc)
+            )
+
     def check_stmts(self, stmts, scopes: list[dict], assigned: set) -> None:
+        # the loop updates `scopes` and `assigned` in place, and `leaf` reads them
+        leaf = partial(self.body_name, scopes, assigned)
         for s in stmts:
             if isinstance(s, Decl):
                 if s.name in self.ever_declared:
                     self.diags.append(Diagnostic(f"redeclaration of '{s.name}'", s.loc))
                 self.ever_declared.add(s.name)
                 if s.init is not None:
-                    self.check_expr(s.init, scopes, assigned)
+                    self.check_expr(s.init, leaf)
                 scopes[-1][s.name] = s.loc
                 if s.init is not None:
                     assigned.add(s.name)
@@ -698,10 +687,10 @@ class _Checker:
                     self.diags.append(
                         Diagnostic(f"assignment to undeclared variable '{s.target}'", s.loc)
                     )
-                self.check_expr(s.rhs, scopes, assigned)
+                self.check_expr(s.rhs, leaf)
                 assigned.add(s.target)
             elif isinstance(s, If):
-                self.check_bool(s.cond, scopes, assigned)
+                self.check_bool(s.cond, leaf, False)
                 a_then = set(assigned)
                 a_else = set(assigned)
                 self.check_stmts(s.then_body, scopes + [{}], a_then)
@@ -709,80 +698,42 @@ class _Checker:
                 visible = set().union(*[set(f) for f in scopes])
                 assigned |= (a_then & a_else & visible)
             elif isinstance(s, Return):
-                self.check_expr(s.expr, scopes, assigned)
+                self.check_expr(s.expr, leaf)
 
-    def check_expr(self, e: Expr, scopes, assigned) -> None:
-        if isinstance(e, VarRef):
-            if not any(e.name in frame for frame in scopes):
-                self.diags.append(Diagnostic(f"use of undeclared variable '{e.name}'", e.loc))
-            elif e.name not in assigned:
-                self.diags.append(
-                    Diagnostic(f"variable '{e.name}' may be used before assignment", e.loc)
-                )
-        elif isinstance(e, ResultRef):
-            self.diags.append(Diagnostic("\\result is not allowed in function bodies", e.loc))
-        elif isinstance(e, Neg):
-            self.check_expr(e.operand, scopes, assigned)
-        elif isinstance(e, (Add, Sub)):
-            self.check_expr(e.lhs, scopes, assigned)
-            self.check_expr(e.rhs, scopes, assigned)
-        elif isinstance(e, Mul):
-            self.check_expr(e.lhs, scopes, assigned)
-            self.check_expr(e.rhs, scopes, assigned)
-            if mul_const_view(e) is None:
-                self.diags.append(
-                    Diagnostic("non-linear term: product of two variables", e.loc)
-                )
+    def check_expr(self, e: Expr, leaf) -> bool:
+        """Check `e`, judging each name by `leaf`; True iff `e` mentions a name.
 
-    def check_annot(self, b: BoolExpr, params: set, allow_result: bool) -> None:
+        A product is linear when one operand mentions no name: `(i - i) * j`
+        is refused although `i - i` folds to 0.
+        """
+        if isinstance(e, IntLit):
+            return False
+        if isinstance(e, (VarRef, ResultRef)):
+            leaf(e)
+            return True
+        if isinstance(e, Neg):
+            return self.check_expr(e.operand, leaf)
+        lhs = self.check_expr(e.lhs, leaf)
+        rhs = self.check_expr(e.rhs, leaf)
+        if lhs and rhs and isinstance(e, Mul):
+            self.diags.append(Diagnostic("non-linear term: product of two variables", e.loc))
+        return lhs or rhs
+
+    def check_bool(self, b: BoolExpr, leaf, annotation: bool) -> None:
         if isinstance(b, Cmp):
-            self.check_annot_expr(b.lhs, params, allow_result)
-            self.check_annot_expr(b.rhs, params, allow_result)
+            self.check_expr(b.lhs, leaf)
+            self.check_expr(b.rhs, leaf)
         elif isinstance(b, (BoolAnd, BoolOr)):
-            self.check_annot(b.lhs, params, allow_result)
-            self.check_annot(b.rhs, params, allow_result)
+            self.check_bool(b.lhs, leaf, annotation)
+            self.check_bool(b.rhs, leaf, annotation)
         elif isinstance(b, BoolNot):
-            self.check_annot(b.operand, params, allow_result)
+            self.check_bool(b.operand, leaf, annotation)
         elif isinstance(b, Implies):
-            self.check_annot(b.antecedent, params, allow_result)
-            self.check_annot(b.consequent, params, allow_result)
-
-    def check_annot_expr(self, e: Expr, params: set, allow_result: bool) -> None:
-        if isinstance(e, VarRef):
-            if e.name not in params:
-                self.diags.append(
-                    Diagnostic(
-                        f"annotation refers to '{e.name}', which is not a parameter", e.loc
-                    )
-                )
-        elif isinstance(e, ResultRef):
-            if not allow_result:
-                self.diags.append(Diagnostic("\\result is only allowed in 'ensures'", e.loc))
-        elif isinstance(e, Neg):
-            self.check_annot_expr(e.operand, params, allow_result)
-        elif isinstance(e, (Add, Sub, Mul)):
-            self.check_annot_expr(e.lhs, params, allow_result)
-            self.check_annot_expr(e.rhs, params, allow_result)
-            if isinstance(e, Mul) and mul_const_view(e) is None:
-                self.diags.append(
-                    Diagnostic("non-linear term: product of two variables", e.loc)
-                )
-
-    def check_bool(self, b: BoolExpr, scopes, assigned) -> None:
-        if isinstance(b, Cmp):
-            self.check_expr(b.lhs, scopes, assigned)
-            self.check_expr(b.rhs, scopes, assigned)
-        elif isinstance(b, (BoolAnd, BoolOr)):
-            self.check_bool(b.lhs, scopes, assigned)
-            self.check_bool(b.rhs, scopes, assigned)
-        elif isinstance(b, BoolNot):
-            self.check_bool(b.operand, scopes, assigned)
-        elif isinstance(b, Implies):
-            # the parser accepts '==>' in any condition, so an `if` can carry
-            # one; it is rejected here, as annotations are checked elsewhere
-            self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
-            self.check_bool(b.antecedent, scopes, assigned)
-            self.check_bool(b.consequent, scopes, assigned)
+            # the parser accepts '==>' in any condition, so an `if` can carry one
+            if not annotation:
+                self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
+            self.check_bool(b.antecedent, leaf, annotation)
+            self.check_bool(b.consequent, leaf, annotation)
 
 
 def typecheck(fn: Function) -> list[Diagnostic]:

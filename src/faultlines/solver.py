@@ -32,10 +32,8 @@ from .formulas import (
     Constraint,
     Formula,
     LinTerm,
-    Not,
     Or,
     SsaName,
-    nnf,
 )
 
 SELECTOR_BASE = "_sel"
@@ -219,14 +217,14 @@ class Solver:
 
     def assert_hard(self, f: Formula) -> None:
         self.stats["assertions"] += 1
-        for conjunct in self._conjuncts(nnf(f)):
+        for conjunct in self._conjuncts(f):
             self._add_prop_for(conjunct)
 
     def assert_soft(self, c: Constraint) -> Selector:
         self.stats["assertions"] += 1
         sel_var = SsaName(SELECTOR_BASE, c.id)
         sel_idx = self._register(sel_var)
-        node, idxs = self._compile(nnf(c.formula))
+        node, idxs = self._compile(c.formula)
         if node is True:
             node = ("lin", "==", (), (), 0)  # trivially satisfied
         elif node is False:
@@ -298,7 +296,7 @@ class Solver:
             self.watchers[v].append(prop)
 
     def _compile(self, f: Formula):
-        """Formula (in NNF) -> (node, watched idxs); True/False for constants."""
+        """Formula -> (node, watched idxs); True/False for constants."""
         if isinstance(f, BoolConst):
             return f.value, []
         if isinstance(f, Atom):
@@ -336,8 +334,6 @@ class Solver:
             if len(nodes) == 1:
                 return nodes[0], idxs
             return ("and" if isinstance(f, And) else "or", tuple(nodes)), idxs
-        if isinstance(f, Not):
-            raise SolverUsageError("formula not in negation normal form")
         raise TypeError(f"not a formula: {f!r}")
 
     # -- propagation ------------------------------------------------------------

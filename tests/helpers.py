@@ -27,12 +27,12 @@ from faultlines.formulas import (
     ConstraintSet,
     Formula,
     LinTerm,
-    Not,
     Or,
     SsaName,
     UnboundVariableError,
     eval_formula,
     formula_vars,
+    negate,
 )
 from faultlines.frontend import CMP_EVAL, Function, parse_program, typecheck
 from faultlines.solver import DomainConfig
@@ -124,8 +124,6 @@ def eval_formula_grid(f: Formula, grids: Mapping[SsaName, np.ndarray]) -> np.nda
         for i in f.items:
             out |= eval_formula_grid(i, grids)
         return out
-    if isinstance(f, Not):
-        return ~eval_formula_grid(f.item, grids)
     if isinstance(f, BoolConst):
         return np.full(_grid_shape(grids), f.value, dtype=bool)
     raise TypeError(f"not a formula: {f!r}")
@@ -333,7 +331,7 @@ def random_formula(rng, names, depth=1):
         return And(tuple(random_formula(rng, names, depth - 1) for _ in range(2)))
     if roll < 9:
         return Or(tuple(random_formula(rng, names, depth - 1) for _ in range(2)))
-    return Not(random_formula(rng, names, depth - 1))
+    return negate(random_formula(rng, names, depth - 1))
 
 
 def random_system(rng, max_vars=4, max_soft=8, max_hard=2) -> ConstraintSet:

@@ -9,7 +9,6 @@ from faultlines.formulas import (
     Atom,
     FALSE,
     LinTerm,
-    Not,
     Or,
     SsaName,
     TRUE,
@@ -19,7 +18,6 @@ from faultlines.formulas import (
     formula_vars,
     linterm_from_expr,
     negate,
-    nnf,
 )
 from faultlines import frontend as fe
 from faultlines.frontend import SourceLoc, parse_program
@@ -85,8 +83,7 @@ def test_negate_constants():
 
 def test_double_negation_eliminated():
     f = atom("<", var(I0), var(J0))
-    assert nnf(Not(Not(f))) == f
-    assert negate(Not(f)) == f
+    assert negate(negate(f)) == f
 
 
 # --- eval ---------------------------------------------------------------------
@@ -175,7 +172,7 @@ def _formulas():
         _atoms() | st.just(TRUE) | st.just(FALSE),
         lambda kids: st.builds(lambda a, b: And((a, b)), kids, kids)
         | st.builds(lambda a, b: Or((a, b)), kids, kids)
-        | st.builds(Not, kids),
+        | st.builds(negate, kids),
         max_leaves=6,
     )
 
@@ -195,12 +192,6 @@ def test_negate_flips_evaluation(f, m):
 @given(_formulas(), _models())
 def test_negate_is_involution_semantically(f, m):
     assert eval_formula(negate(negate(f)), m) == eval_formula(f, m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_formulas(), _models())
-def test_nnf_preserves_evaluation(f, m):
-    assert eval_formula(nnf(f), m) == eval_formula(f, m)
 
 
 @settings(max_examples=100, deadline=None)
