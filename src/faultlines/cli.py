@@ -8,10 +8,11 @@
 `--domain` is joined to it before parsing, so a negative `LO` is not
 taken for an option.
 
-Exit codes: 0 report produced; 1 file/parse/typecheck failure
-(diagnostics on stderr); 2 usage error, including a failing run whose
-inputs or computed values leave the `--domain` box; 3 the counterexample
-does not violate the postcondition (nothing to localize).
+Exit codes: 0 report produced; 1 file/parse/typecheck failure, or a
+program nested too deeply to analyse (diagnostics on stderr); 2 usage
+error, including a failing run whose inputs or computed values leave the
+`--domain` box; 3 the counterexample does not violate the postcondition
+(nothing to localize).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
         try:
             with open(args.ce_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             parser.error(f"cannot read counterexample file: {e}")
         except json.JSONDecodeError as e:
             parser.error(f"counterexample file is not valid JSON: {e}")
@@ -171,16 +172,22 @@ def main(argv=None) -> int:
     try:
         with open(args.program, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read program: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     try:
         fn = parse_program(text)
+        diags = typecheck(fn)
+        graph = None if diags else build_cfg(fn)
     except FrontendError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    diags = typecheck(fn)
+    except RecursionError:
+        # the parser, the typechecker and the graph builder recurse once
+        # per nesting level of the program
+        print("error: program nests too deeply to analyse", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if diags:
         for d in diags:
             print(f"error: {d}", file=sys.stderr)
@@ -200,7 +207,6 @@ def main(argv=None) -> int:
         print("error: counterexample does not violate the postcondition", file=sys.stderr)
         return EXIT_NOT_A_COUNTEREXAMPLE
 
-    graph = build_cfg(fn)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

@@ -162,6 +162,57 @@ def test_non_ascii_character_exits_1(tmp_path, capsys, source, message):
     assert err.strip() == message
 
 
+def test_non_utf8_program_exits_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.src"
+    bad.write_bytes(b"/*@ ensures \\result == x; */\n// caf\xe9\nint f (int x) { return x + 1; }\n")
+    code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read program: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_ce_file_is_usage_error(tmp_path, capsys):
+    ce = tmp_path / "bad.ce.json"
+    ce.write_bytes(b'{"i": 0, "j": 1\xff}')
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "absminus.src"), "--ce-file", str(ce))
+    assert code == 2
+    assert out == ""
+    assert "cannot read counterexample file" in err
+
+
+def _nested_ifs(depth):
+    body = "x = x + 1;"
+    for i in range(depth):
+        body = f"if (x > {i}) {{ {body} }}"
+    return f"/*@ ensures \\result == x + 1; */\nint f (int x) {{\n  {body}\n  return x;\n}}\n"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "/*@ ensures \\result == x; */ int f (int x) { return " + " + ".join(["x"] * 1500) + "; }",
+        _nested_ifs(400),
+    ],
+    ids=["long-sum", "nested-ifs"],
+)
+def test_deep_program_exits_1(tmp_path, capsys, source):
+    deep = tmp_path / "deep.src"
+    deep.write_text(source)
+    code, out, err = run_cli(capsys, "run", str(deep), "--in", "x=1", "--bcond", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: program nests too deeply to analyse\n"
+
+
+def test_nested_ifs_below_the_limit_run(tmp_path, capsys):
+    src = tmp_path / "nested.src"
+    src.write_text(_nested_ifs(300))
+    code, out, _ = run_cli(capsys, "run", str(src), "--in", "x=1", "--bcond", "0")
+    assert code == 0
+    assert "diagnosis 1: initial path" in out
+
+
 def test_typecheck_failure_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.src"
     bad.write_text("/*@ ensures \\result == x; */ int f (int x) { return m; }")
@@ -261,6 +312,22 @@ def test_dot_dump(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith('digraph "AbsMinus"')
     assert "k_1 = k_0 + 2 @ 10" in text
+
+
+def test_negated_guard_renders_lowered(tmp_path, capsys):
+    # a guard prints as its lowered formula, in negation normal form
+    src = tmp_path / "notguard.src"
+    src.write_text(
+        "/*@ ensures \\result == x + 1; */\nint f (int x) {\n  int y = x;\n"
+        "  if (!(x > 0) && x != 5) {\n    y = x + 1;\n  }\n  return y;\n}\n"
+    )
+    dot = tmp_path / "notguard.dot"
+    code, out, _ = run_cli(
+        capsys, "run", str(src), "--in", "x=1", "--domain=-16:16", "--dot", str(dot)
+    )
+    assert code == 0
+    assert "  deviated condition: line 4 (d4): x_0 <= 0 && x_0 != 5\n" in out
+    assert '"d4" [shape=diamond, label="x_0 <= 0 && x_0 != 5\\\\nline 4"];' in dot.read_text()
 
 
 def test_config_from_args_defaults_match_cli():
