@@ -8,10 +8,9 @@ have no negation node: they are built in negation normal form, and
 :func:`negate` flips atom operators and swaps `And`/`Or`.
 
 :func:`linterm_from_expr` and :func:`bool_expr_to_formula` lower source
-expressions and conditions, the latter in negation normal form.  They
-take a renaming map, a function from a source variable name to the
-:class:`SsaName` it stands for, so the graph builder renames and lowers
-in one walk.
+expressions and conditions.  They take a renaming map, a function from a
+source variable name to the :class:`SsaName` it stands for, so the graph
+builder renames and lowers in one walk.
 
 Rendering is stable and documented (used verbatim in reports and golden
 files): a constraint prints as e.g. ``k_1 = k_0 + 2 @ line 10``.

@@ -164,7 +164,7 @@ def test_non_ascii_character_exits_1(tmp_path, capsys, source, message):
 
 def test_non_utf8_program_exits_1(tmp_path, capsys):
     bad = tmp_path / "latin1.src"
-    bad.write_bytes(b"/*@ ensures \\result == x; */\n// caf\xe9\nint f (int x) { return x + 1; }\n")
+    bad.write_bytes(b"/*@ ensures \\result == x; */\n// caf\xe9\nint f (int x) { return x; }\n")
     code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
     assert code == 1
     assert out == ""

@@ -218,15 +218,19 @@ _RESULT = SsaName("r", 1)
 
 
 def _source_exprs():
-    const = st.integers(-3, 3).map(lambda v: fe.IntLit(v, _AT))
-    leaves = const | st.sampled_from([fe.VarRef("a", _AT), fe.VarRef("b", _AT), fe.ResultRef(_AT)])
+    lit = st.integers(-3, 3).map(lambda v: fe.IntLit(v, _AT))
+    # a factor mentions no name, so every product is linear
+    factor = st.recursive(
+        lit, lambda kids: st.builds(fe.Sub, kids, kids, st.just(_AT)), max_leaves=3
+    )
+    leaves = lit | st.sampled_from([fe.VarRef("a", _AT), fe.VarRef("b", _AT), fe.ResultRef(_AT)])
     return st.recursive(
         leaves,
         lambda kids: st.builds(fe.Add, kids, kids, st.just(_AT))
         | st.builds(fe.Sub, kids, kids, st.just(_AT))
         | st.builds(fe.Neg, kids, st.just(_AT))
-        | st.builds(fe.Mul, const, kids, st.just(_AT))
-        | st.builds(fe.Mul, kids, const, st.just(_AT)),
+        | st.builds(fe.Mul, factor, kids, st.just(_AT))
+        | st.builds(fe.Mul, kids, factor, st.just(_AT)),
         max_leaves=4,
     )
 
