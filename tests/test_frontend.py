@@ -482,6 +482,47 @@ def test_pretty_roundtrip_random_programs():
         assert again == fn
 
 
+EVERY_OPERATOR = """\
+/*@ requires a > 0 || b > 0 && c > 0;
+  @ ensures a > 0 ==> b > 0 ==> \\result == a - b - c; */
+int f (int a, int b, int c) {
+  int r = 3 * a + a * -2 - -(a - b);
+  if (!(a <= b) && a != c || b >= c) {
+    r = r - 1;
+  } else r = r + c * 2;
+  if (a < b) { r = -r; }
+  if (a == b) { r = r + 1; }
+  return r;
+}
+"""
+
+
+def test_pretty_text_of_every_operator_is_pinned():
+    # `&&` binds tighter than `||`, `==>` and `-` group to the right and
+    # the left, and every operator prints fully parenthesised
+    assert pretty(parse_program(EVERY_OPERATOR)) == """\
+/*@
+ @ requires ((a > 0) || (((b > 0) && (c > 0))));
+ @ ensures ((a > 0) ==> (((b > 0) ==> (\\result == ((a - b) - c)))));
+ @ */
+int f (int a, int b, int c) {
+  int r = (((3 * a) + (a * -(2))) - -((a - b)));
+  if (((((!(a <= b)) && (a != c))) || (b >= c))) {
+    r = (r - 1);
+  } else {
+    r = (r + (c * 2));
+  }
+  if (a < b) {
+    r = -(r);
+  }
+  if (a == b) {
+    r = (r + 1);
+  }
+  return r;
+}
+"""
+
+
 def test_interpret_absminus():
     text, _, _ = corpus_entry("absminus")
     fn = parse_program(text)
@@ -544,6 +585,30 @@ def test_interpret_connective_matches_python(cond, py):
         expected = py(a > 0, b > 0)
         assert out.result == int(expected), (a, b)
         assert out.postcondition_holds is expected, (a, b)
+
+
+@pytest.mark.parametrize(
+    "expr, py",
+    [
+        ("a + b", lambda a, b, c: a + b),
+        ("a - b - c", lambda a, b, c: (a - b) - c),
+        ("a - b * c", lambda a, b, c: a - b * c),
+        ("3 * a", lambda a, b, c: 3 * a),
+        ("a * -2", lambda a, b, c: a * -2),
+        ("-a", lambda a, b, c: -a),
+        ("-(a - b)", lambda a, b, c: -(a - b)),
+    ],
+)
+def test_interpret_arithmetic_matches_python(expr, py):
+    # the interpreter does not typecheck, so `b * c` runs here
+    fn = parse_program(
+        f"/*@ ensures \\result == {expr}; */ int f (int a, int b, int c) "
+        f"{{ int r = {expr}; return r; }}"
+    )
+    for a, b, c in itertools.product(range(-2, 3), repeat=3):
+        out = interpret(fn, {"a": a, "b": b, "c": c})
+        assert out.result == py(a, b, c), (a, b, c)
+        assert out.postcondition_holds, (a, b, c)
 
 
 def test_interpret_missing_input_raises():
