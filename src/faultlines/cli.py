@@ -148,6 +148,9 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"cannot read counterexample file: {e}")
         except json.JSONDecodeError as e:
             parser.error(f"counterexample file is not valid JSON: {e}")
+        except ValueError:
+            # json refuses an integer over Python's 4,300-digit conversion limit
+            parser.error("counterexample file holds an integer with too many digits")
         if not isinstance(data, dict) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in data.values()
         ):

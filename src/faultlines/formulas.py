@@ -24,20 +24,16 @@ from typing import Iterable, Mapping
 
 from .frontend import (
     CMP_EVAL,
-    Add,
-    BoolAnd,
+    Arith,
     BoolExpr,
     BoolNot,
-    BoolOr,
     Cmp,
     Expr,
-    Implies,
     IntLit,
-    Mul,
+    Logic,
     Neg,
     ResultRef,
     SourceLoc,
-    Sub,
     VarRef,
 )
 
@@ -167,12 +163,12 @@ def linterm_from_expr(e: Expr, var, result: SsaName | None = None) -> LinTerm:
             return LinTerm.var(result)
         if isinstance(e, Neg):
             return -lin(e.operand)
-        if isinstance(e, Add):
-            return lin(e.lhs) + lin(e.rhs)
-        if isinstance(e, Sub):
-            return lin(e.lhs) - lin(e.rhs)
-        if isinstance(e, Mul):
+        if isinstance(e, Arith):
             a, b = lin(e.lhs), lin(e.rhs)
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
             if not a.coeffs:
                 return b.scale(a.const)
             if not b.coeffs:
@@ -295,14 +291,15 @@ def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None) -> For
         if isinstance(b, Cmp):
             return Atom(b.op, linterm_from_expr(b.lhs, var, result),
                         linterm_from_expr(b.rhs, var, result))
-        if isinstance(b, BoolAnd):
-            return And((form(b.lhs), form(b.rhs)))
-        if isinstance(b, BoolOr):
-            return Or((form(b.lhs), form(b.rhs)))
+        if isinstance(b, Logic) and (b.op != "==>" or result is not None):
+            lhs, rhs = form(b.lhs), form(b.rhs)
+            if b.op == "&&":
+                return And((lhs, rhs))
+            if b.op == "||":
+                return Or((lhs, rhs))
+            return Or((negate(lhs), rhs))
         if isinstance(b, BoolNot):
             return negate(form(b.operand))
-        if isinstance(b, Implies) and result is not None:
-            return Or((negate(form(b.antecedent)), form(b.consequent)))
         raise TypeError(f"not a boolean expression: {b!r}")
 
     return form(b)

@@ -40,6 +40,8 @@ CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 CMP_EVAL = dict(
     zip(CMP_OPS, (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge))
 )
+# what each arithmetic operator means, for the interpreter
+ARITH_EVAL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class FrontendError(Exception):
@@ -78,9 +80,10 @@ class SourceLoc:
 # AST
 # ---------------------------------------------------------------------------
 #
-# Arithmetic expressions.  `Mul` is kept general so the typechecker can
-# report a linearity diagnostic for `x*y`; in a well-typed program one
-# operand of every multiplication mentions no variable.
+# Arithmetic expressions.  A product (`Arith` with op `*`) is kept general
+# so the typechecker can report a linearity diagnostic for `x*y`; in a
+# well-typed program one operand of every multiplication mentions no
+# variable.
 
 
 class Expr:
@@ -113,21 +116,8 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    lhs: Expr
-    rhs: Expr
-    loc: SourceLoc = field(compare=False)
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
-    loc: SourceLoc = field(compare=False)
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
+class Arith(Expr):
+    op: str  # '+', '-' or '*'
     lhs: Expr
     rhs: Expr
     loc: SourceLoc = field(compare=False)
@@ -146,14 +136,8 @@ class Cmp(BoolExpr):
 
 
 @dataclass(frozen=True)
-class BoolAnd(BoolExpr):
-    lhs: BoolExpr
-    rhs: BoolExpr
-    loc: SourceLoc = field(compare=False)
-
-
-@dataclass(frozen=True)
-class BoolOr(BoolExpr):
+class Logic(BoolExpr):
+    op: str  # '&&', '||' or '==>'; '==>' is only legal inside annotations
     lhs: BoolExpr
     rhs: BoolExpr
     loc: SourceLoc = field(compare=False)
@@ -162,15 +146,6 @@ class BoolOr(BoolExpr):
 @dataclass(frozen=True)
 class BoolNot(BoolExpr):
     operand: BoolExpr
-    loc: SourceLoc = field(compare=False)
-
-
-@dataclass(frozen=True)
-class Implies(BoolExpr):
-    """`a ==> b`; only legal inside annotations."""
-
-    antecedent: BoolExpr
-    consequent: BoolExpr
     loc: SourceLoc = field(compare=False)
 
 
@@ -299,7 +274,9 @@ def _tokenize(src: str) -> list[Token]:
         elif kind == "num":
             if text[-1] == ".":
                 raise UnsupportedConstructError("unsupported construct: float literal", loc(pos))
-            if int(text) > INT64_MAX:
+            # `int` refuses over 4,300 digits: compare lengths first (INT64_MAX has 19)
+            digits = text.lstrip("0")
+            if len(digits) > 19 or int(digits or "0") > INT64_MAX:
                 raise ParseError(f"integer literal out of 64-bit range: {text}", loc(pos))
         elif kind == "annot_close":
             if not in_annot:
@@ -336,7 +313,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-        self.in_ensures = False
 
     # -- token plumbing -----------------------------------------------------
 
@@ -396,9 +372,7 @@ class _Parser:
                     self.next()
                     if post is not None:
                         raise ParseError("duplicate ensures clause", t.loc)
-                    self.in_ensures = True
                     post = self.parse_bool_expr()
-                    self.in_ensures = False
                     ensures_loc = t.loc
                     self.expect(";")
                 else:
@@ -489,29 +463,25 @@ class _Parser:
     # boolean expressions: implies (right-assoc) > or > and > not > primary
 
     def parse_bool_expr(self) -> BoolExpr:
-        return self.parse_implies()
-
-    def parse_implies(self) -> BoolExpr:
         lhs = self.parse_or()
         t = self.peek()
         if t.kind == "==>":
             self.next()
-            rhs = self.parse_implies()
-            return Implies(lhs, rhs, t.loc)
+            return Logic("==>", lhs, self.parse_bool_expr(), t.loc)
         return lhs
 
     def parse_or(self) -> BoolExpr:
         lhs = self.parse_and()
         while self.at("||"):
             t = self.next()
-            lhs = BoolOr(lhs, self.parse_and(), t.loc)
+            lhs = Logic("||", lhs, self.parse_and(), t.loc)
         return lhs
 
     def parse_and(self) -> BoolExpr:
         lhs = self.parse_bool_unary()
         while self.at("&&"):
             t = self.next()
-            lhs = BoolAnd(lhs, self.parse_bool_unary(), t.loc)
+            lhs = Logic("&&", lhs, self.parse_bool_unary(), t.loc)
         return lhs
 
     def parse_bool_unary(self) -> BoolExpr:
@@ -547,22 +517,16 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         lhs = self.parse_term()
-        while True:
-            t = self.peek()
-            if t.kind == "+":
-                self.next()
-                lhs = Add(lhs, self.parse_term(), t.loc)
-            elif t.kind == "-":
-                self.next()
-                lhs = Sub(lhs, self.parse_term(), t.loc)
-            else:
-                return lhs
+        while self.peek().kind in ("+", "-"):
+            t = self.next()
+            lhs = Arith(t.kind, lhs, self.parse_term(), t.loc)
+        return lhs
 
     def parse_term(self) -> Expr:
         lhs = self.parse_unary()
         while self.at("*"):
             t = self.next()
-            lhs = Mul(lhs, self.parse_unary(), t.loc)
+            lhs = Arith("*", lhs, self.parse_unary(), t.loc)
         return lhs
 
     def parse_unary(self) -> Expr:
@@ -576,14 +540,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return IntLit(int(t.text), t.loc)
+            return IntLit(int(t.text.lstrip("0") or "0"), t.loc)
         if t.kind == "ident":
             self.next()
             return VarRef(t.text, t.loc)
         if t.kind == "result":
             self.next()
-            if not self.in_ensures:
-                raise ParseError("\\result is only allowed inside 'ensures'", t.loc)
             return ResultRef(t.loc)
         if t.kind == "(":
             self.next()
@@ -715,7 +677,7 @@ class _Checker:
             return self.check_expr(e.operand, leaf)
         lhs = self.check_expr(e.lhs, leaf)
         rhs = self.check_expr(e.rhs, leaf)
-        if lhs and rhs and isinstance(e, Mul):
+        if lhs and rhs and e.op == "*":
             self.diags.append(Diagnostic("non-linear term: product of two variables", e.loc))
         return lhs or rhs
 
@@ -723,21 +685,18 @@ class _Checker:
         if isinstance(b, Cmp):
             self.check_expr(b.lhs, leaf)
             self.check_expr(b.rhs, leaf)
-        elif isinstance(b, (BoolAnd, BoolOr)):
+        elif isinstance(b, Logic):
+            # the parser accepts '==>' in any condition, so an `if` can carry one
+            if b.op == "==>" and not annotation:
+                self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
             self.check_bool(b.lhs, leaf, annotation)
             self.check_bool(b.rhs, leaf, annotation)
         elif isinstance(b, BoolNot):
             self.check_bool(b.operand, leaf, annotation)
-        elif isinstance(b, Implies):
-            # the parser accepts '==>' in any condition, so an `if` can carry one
-            if not annotation:
-                self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
-            self.check_bool(b.antecedent, leaf, annotation)
-            self.check_bool(b.consequent, leaf, annotation)
 
 
 def typecheck(fn: Function) -> list[Diagnostic]:
-    """Check scoping, definite assignment and linearity.
+    """Check scoping, definite assignment, linearity, and where `\\result` and `==>` stand.
 
     Returns an empty list iff the function is well-formed; never raises.
     """
@@ -758,26 +717,18 @@ def _p_expr(e: Expr) -> str:
         return "\\result"
     if isinstance(e, Neg):
         return f"-({_p_expr(e.operand)})"
-    if isinstance(e, Add):
-        return f"({_p_expr(e.lhs)} + {_p_expr(e.rhs)})"
-    if isinstance(e, Sub):
-        return f"({_p_expr(e.lhs)} - {_p_expr(e.rhs)})"
-    if isinstance(e, Mul):
-        return f"({_p_expr(e.lhs)} * {_p_expr(e.rhs)})"
+    if isinstance(e, Arith):
+        return f"({_p_expr(e.lhs)} {e.op} {_p_expr(e.rhs)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
 def _p_bool(b: BoolExpr) -> str:
     if isinstance(b, Cmp):
         return f"{_p_expr(b.lhs)} {b.op} {_p_expr(b.rhs)}"
-    if isinstance(b, BoolAnd):
-        return f"(({_p_bool(b.lhs)}) && ({_p_bool(b.rhs)}))"
-    if isinstance(b, BoolOr):
-        return f"(({_p_bool(b.lhs)}) || ({_p_bool(b.rhs)}))"
+    if isinstance(b, Logic):
+        return f"(({_p_bool(b.lhs)}) {b.op} ({_p_bool(b.rhs)}))"
     if isinstance(b, BoolNot):
         return f"!({_p_bool(b.operand)})"
-    if isinstance(b, Implies):
-        return f"(({_p_bool(b.antecedent)}) ==> ({_p_bool(b.consequent)}))"
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
@@ -845,12 +796,8 @@ def eval_expr(e: Expr, env: dict) -> int:
             return env[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name}") from None
-    if t is Add:
-        return eval_expr(e.lhs, env) + eval_expr(e.rhs, env)
-    if t is Mul:
-        return eval_expr(e.lhs, env) * eval_expr(e.rhs, env)
-    if t is Sub:
-        return eval_expr(e.lhs, env) - eval_expr(e.rhs, env)
+    if t is Arith:
+        return ARITH_EVAL[e.op](eval_expr(e.lhs, env), eval_expr(e.rhs, env))
     if t is Neg:
         return -eval_expr(e.operand, env)
     if t is ResultRef:
@@ -863,17 +810,19 @@ def eval_expr(e: Expr, env: dict) -> int:
 
 def eval_bool(b: BoolExpr, env: dict) -> bool:
     t = type(b)
-    if t is BoolAnd:
-        return eval_bool(b.lhs, env) and eval_bool(b.rhs, env)
+    if t is Logic:
+        # the right operand is evaluated only when the left one does not decide
+        lhs = eval_bool(b.lhs, env)
+        if b.op == "&&":
+            return lhs and eval_bool(b.rhs, env)
+        if b.op == "||":
+            return lhs or eval_bool(b.rhs, env)
+        return (not lhs) or eval_bool(b.rhs, env)
     if t is Cmp:
         l, r = eval_expr(b.lhs, env), eval_expr(b.rhs, env)
         return CMP_EVAL[b.op](l, r)
-    if t is Implies:
-        return (not eval_bool(b.antecedent, env)) or eval_bool(b.consequent, env)
     if t is BoolNot:
         return not eval_bool(b.operand, env)
-    if t is BoolOr:
-        return eval_bool(b.lhs, env) or eval_bool(b.rhs, env)
     raise TypeError(f"not a boolean expression: {b!r}")
 
 

@@ -181,6 +181,42 @@ def test_non_utf8_ce_file_is_usage_error(tmp_path, capsys):
     assert "cannot read counterexample file" in err
 
 
+def test_over_long_literal_exits_1(tmp_path, capsys):
+    # more digits than Python's 4,300-digit limit for `int`
+    digits = "1" * 5000
+    bad = tmp_path / "long.src"
+    bad.write_text(f"/*@ ensures \\result == x; */\nint f (int x) {{ return {digits}; }}\n")
+    code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 2:24: integer literal out of 64-bit range: {digits}\n"
+
+
+def test_over_long_ce_integer_is_usage_error(tmp_path, capsys):
+    ce = tmp_path / "long.ce.json"
+    ce.write_text('{"i": 0, "j": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "absminus.src"), "--ce-file", str(ce))
+    assert code == 2
+    assert out == ""
+    assert "counterexample file holds an integer with too many digits" in err
+    assert "Traceback" not in err
+
+
+def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
+    bad = tmp_path / "result.src"
+    bad.write_text(
+        "/*@ requires \\result > 0; ensures \\result == x; */\nint f (int x) {\n"
+        "  int y = x;\n  y = y + \\result;\n  return y;\n}\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: line 4:11: \\result is not allowed in function bodies\n"
+        "error: line 1:14: \\result is only allowed in 'ensures'\n"
+    )
+
+
 def _nested_ifs(depth):
     body = "x = x + 1;"
     for i in range(depth):

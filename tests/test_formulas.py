@@ -221,16 +221,16 @@ def _source_exprs():
     lit = st.integers(-3, 3).map(lambda v: fe.IntLit(v, _AT))
     # a factor mentions no name, so every product is linear
     factor = st.recursive(
-        lit, lambda kids: st.builds(fe.Sub, kids, kids, st.just(_AT)), max_leaves=3
+        lit, lambda kids: st.builds(fe.Arith, st.just("-"), kids, kids, st.just(_AT)),
+        max_leaves=3,
     )
     leaves = lit | st.sampled_from([fe.VarRef("a", _AT), fe.VarRef("b", _AT), fe.ResultRef(_AT)])
     return st.recursive(
         leaves,
-        lambda kids: st.builds(fe.Add, kids, kids, st.just(_AT))
-        | st.builds(fe.Sub, kids, kids, st.just(_AT))
+        lambda kids: st.builds(fe.Arith, st.sampled_from(("+", "-")), kids, kids, st.just(_AT))
         | st.builds(fe.Neg, kids, st.just(_AT))
-        | st.builds(fe.Mul, factor, kids, st.just(_AT))
-        | st.builds(fe.Mul, kids, factor, st.just(_AT)),
+        | st.builds(fe.Arith, st.just("*"), factor, kids, st.just(_AT))
+        | st.builds(fe.Arith, st.just("*"), kids, factor, st.just(_AT)),
         max_leaves=4,
     )
 
@@ -239,10 +239,9 @@ def _source_conds():
     exprs = _source_exprs()
     return st.recursive(
         st.builds(fe.Cmp, st.sampled_from(fe.CMP_OPS), exprs, exprs, st.just(_AT)),
-        lambda kids: st.builds(fe.BoolAnd, kids, kids, st.just(_AT))
-        | st.builds(fe.BoolOr, kids, kids, st.just(_AT))
-        | st.builds(fe.BoolNot, kids, st.just(_AT))
-        | st.builds(fe.Implies, kids, kids, st.just(_AT)),
+        lambda kids: st.builds(fe.Logic, st.sampled_from(("&&", "||", "==>")), kids, kids,
+                               st.just(_AT))
+        | st.builds(fe.BoolNot, kids, st.just(_AT)),
         max_leaves=5,
     )
 

@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from faultlines.frontend import (
-    BoolAnd,
+    Arith,
     Cmp,
     Decl,
+    INT64_MAX,
     EvalError,
     If,
-    Implies,
-    Mul,
+    Logic,
     ParseError,
     ResultRef,
     Return,
     SourceLoc,
-    Sub,
     UnsupportedConstructError,
     VarRef,
     _tokenize,
@@ -46,13 +45,14 @@ def test_parse_absminus_shape():
     assert fn.precondition is None
     # ((i < j) ==> (\result == j-i)) && ((i >= j) ==> (\result == i-j))
     post = fn.postcondition
-    assert isinstance(post, BoolAnd)
+    assert isinstance(post, Logic) and post.op == "&&"
     left, right = post.lhs, post.rhs
-    assert isinstance(left, Implies) and isinstance(right, Implies)
-    assert isinstance(left.antecedent, Cmp) and left.antecedent.op == "<"
-    assert isinstance(left.consequent, Cmp) and left.consequent.op == "=="
-    assert isinstance(left.consequent.lhs, ResultRef)
-    assert isinstance(right.antecedent, Cmp) and right.antecedent.op == ">="
+    assert isinstance(left, Logic) and left.op == "==>"
+    assert isinstance(right, Logic) and right.op == "==>"
+    assert isinstance(left.lhs, Cmp) and left.lhs.op == "<"
+    assert isinstance(left.rhs, Cmp) and left.rhs.op == "=="
+    assert isinstance(left.rhs.lhs, ResultRef)
+    assert isinstance(right.lhs, Cmp) and right.lhs.op == ">="
     # body: decl result, decl k = 0, if, if/else, return
     kinds = [type(s) for s in fn.body]
     assert kinds == [Decl, Decl, If, If, Return]
@@ -96,8 +96,10 @@ def test_division_rejected():
 
 
 def test_result_in_body_rejected():
-    with pytest.raises(ParseError, match="result"):
-        parse_program("/*@ ensures \\result == 0; */ int f (int x) { return \\result; }")
+    fn = parse_program("/*@ ensures \\result == 0; */ int f (int x) { return \\result; }")
+    assert [(d.message, d.loc.line, d.loc.column) for d in typecheck(fn)] == [
+        ("\\result is not allowed in function bodies", 1, 53)
+    ]
 
 
 def test_missing_ensures_rejected():
@@ -121,6 +123,13 @@ def test_literal_out_of_64bit_range():
     big = str(2**63)
     with pytest.raises(ParseError, match="64-bit"):
         parse_program(f"/*@ ensures \\result == 0; */ int f (int x) {{ return {big}; }}")
+
+
+def test_zero_padded_literal_parses_to_its_value():
+    # longer than Python's 4,300-digit limit for `int`, but in 64-bit range
+    padded = "0" * 5000 + str(INT64_MAX)
+    fn = parse_program(f"/*@ ensures \\result == 0; */ int f (int x) {{ return {padded}; }}")
+    assert fn.body[-1].expr.value == INT64_MAX
 
 
 def test_syntax_error_carries_location():
@@ -244,6 +253,10 @@ MALFORMED = [
     ("/*@ ensures @ x; */", ParseError, "unexpected character '@'", 1, 13),
     ("return 9223372036854775808;", ParseError,
      "integer literal out of 64-bit range: 9223372036854775808", 1, 8),
+    # longer than Python's 4,300-digit limit for `int`
+    pytest.param("return " + "1" * 5000 + ";", ParseError,
+                 "integer literal out of 64-bit range: " + "1" * 5000, 1, 8,
+                 id="5000-digit-literal"),
     ("/*@ ensures x == 0; // c\n */", UnsupportedConstructError,
      "unsupported construct: operator '/'", 1, 21),
     ("/*@ ensures x == 0;\n /*@ */", UnsupportedConstructError,
@@ -373,11 +386,10 @@ int f (int x, int y) {
 
 
 def _result_in_requires_and_body():
-    # the parser refuses `\result` outside `ensures`, so only a hand-built
-    # AST reaches these two diagnostics
+    # the postcondition again as the precondition, and `\result * x` returned
     fn = parse_program(ILL_TYPED_ANNOTATIONS)
     at = SourceLoc
-    ret = Return(Mul(ResultRef(at(6, 10)), VarRef("x", at(6, 20)), at(6, 15)), at(6, 3))
+    ret = Return(Arith("*", ResultRef(at(6, 10)), VarRef("x", at(6, 20)), at(6, 15)), at(6, 3))
     return dataclasses.replace(fn, precondition=fn.postcondition, body=(ret,))
 
 
@@ -436,8 +448,8 @@ def test_typecheck_diagnostics_are_pinned(fn, expected):
 def test_mul_parse_shape():
     fn = parse_program("/*@ ensures \\result == 0; */ int f (int x) { return 2*x - x*3; }")
     body = fn.body[0].expr
-    assert isinstance(body, Sub)
-    assert isinstance(body.lhs, Mul) and isinstance(body.rhs, Mul)
+    assert isinstance(body, Arith) and body.op == "-"
+    assert body.lhs.op == "*" and body.rhs.op == "*"
 
 
 def _all_locs(node, acc):
