@@ -89,7 +89,6 @@ class Decision:
 @dataclass
 class Cfg:
     name: str
-    params: tuple
     param_locs: dict
     nodes: dict
     edges: dict  # id -> list[(label, dst)]
@@ -97,7 +96,6 @@ class Cfg:
     exit: str
     decision_order: tuple
     result_var: str
-    return_loc: SourceLoc
     ensures_loc: SourceLoc
     postcondition: Formula  # \result is the final result version
 
@@ -142,7 +140,6 @@ class _Builder:
         self.decision_ids: set = set()
         self.decision_order: list = []
         self.result_var: Optional[str] = None
-        self.return_loc: Optional[SourceLoc] = None
 
     def add(self, node) -> str:
         self.nodes[node.id] = node
@@ -228,7 +225,6 @@ class _Builder:
                 else:
                     self.result_var = RESULT_VAR
                     pending.append(self.assign(env, RESULT_VAR, s.expr, s.loc))
-                self.return_loc = s.loc
                 attach = flush(attach)
             else:
                 raise CfgError(f"unsupported statement: {s!r}")
@@ -276,7 +272,6 @@ def build_cfg(fn: Function) -> Cfg:
     result_name = SsaName(b.result_var, env.get(b.result_var, 0))
     return Cfg(
         name=fn.name,
-        params=fn.param_names,
         param_locs={p.name: p.loc for p in fn.params},
         nodes=b.nodes,
         edges=b.edges,
@@ -284,7 +279,6 @@ def build_cfg(fn: Function) -> Cfg:
         exit=exit_,
         decision_order=tuple(b.decision_order),
         result_var=b.result_var,
-        return_loc=b.return_loc,
         ensures_loc=fn.ensures_loc,
         postcondition=bool_expr_to_formula(fn.postcondition, _version0, result_name),
     )

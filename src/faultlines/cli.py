@@ -164,6 +164,9 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
         try:
             out[name] = int(value)
         except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+\s*", value):
+                # an integer over Python's 4,300-digit conversion limit
+                parser.error(f"--in value for {name!r} has too many digits")
             parser.error(f"--in value for {name!r} is not an integer: {value!r}")
     return out
 

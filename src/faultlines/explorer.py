@@ -26,9 +26,9 @@ Given a DSA-form graph and a failing input, the runner
 MCS enumerations share one incremental solver: input equalities sit in
 the base frame and each path segment between decisions lives in its own
 frame, so a diagnosis re-asserts only the segments its path does not
-share with the previous one.  Passing ``incremental=False`` gives every
-enumeration a fresh solver instead; diagnoses are identical, only the
-assertion counters differ.
+share with the previous one.  Passing ``incremental=False`` runs the
+same code on a fresh solver for every enumeration; diagnoses, checks and
+propagations are identical, only the assertion counter differs.
 """
 
 from __future__ import annotations
@@ -325,22 +325,26 @@ def path_satisfies_post(trace: PathTrace, cfg: Cfg) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Diagnosis backend (incremental prefix sharing vs. fresh solvers)
+# Diagnosis backend
 # ---------------------------------------------------------------------------
 
 
 class _Backend:
-    def __init__(self, dom: DomainConfig, inputs: tuple, incremental: bool):
+    """MCS enumerations on one solver whose frames follow the path.
+
+    Inputs and the segment before the first decision sit in the base
+    frame, and frame i + 1 holds the segment after decision step i, so an
+    enumeration pops the frames its path does not share with the previous
+    one and pushes only its own.  Without `incremental`, each enumeration
+    starts over on a new solver that carries on the old one's counters.
+    """
+
+    def __init__(self, dom: DomainConfig, inputs: tuple, incremental: bool = True):
         self.dom = dom
         self.inputs = inputs
         self.incremental = incremental
-        self.totals = {"checks": 0, "propagations": 0, "assertions": 0}
-        if incremental:
-            self.solver = Solver(dom)
-            for c in inputs:
-                self.solver.assert_hard(c.formula)
-            self.base_sels: Optional[list] = None  # segment before 1st decision
-            self.stack: list = []  # (key, frame_id, [Selector])
+        self.solver: Optional[Solver] = None
+        self.frame_keys: list = []  # the decision step that opens each frame
 
     def enumerate_for(self, keys, segments, extra_hard, config: McsConfig) -> McsResult:
         """Run one MCS enumeration for a path prefix.
@@ -350,51 +354,34 @@ class _Backend:
         extra_hard: constraints (postcondition or deviation guard) that
         hold only for this diagnosis.
         """
-        if self.incremental:
-            return self._enumerate_shared(keys, segments, extra_hard, config)
-        solver = Solver(self.dom)
-        for c in self.inputs:
-            solver.assert_hard(c.formula)
-        sels = [solver.assert_soft(c) for seg in segments for c in seg]
-        for c in extra_hard:
-            solver.assert_hard(c.formula)
-        result = enumerate_on(solver, sels, config)
-        for key in self.totals:
-            self.totals[key] += solver.stats[key]
-        return result
-
-    def _enumerate_shared(self, keys, segments, extra_hard, config: McsConfig) -> McsResult:
+        if self.solver is None or not self.incremental:
+            solver = Solver(self.dom)
+            if self.solver is not None:
+                solver.stats = self.solver.stats
+            for c in self.inputs:
+                solver.assert_hard(c.formula)
+            for c in segments[0]:
+                solver.assert_soft(c)
+            self.solver, self.frame_keys = solver, []
         solver = self.solver
-        if self.base_sels is None:
-            self.base_sels = [solver.assert_soft(c) for c in segments[0]]
         shared = 0
-        while (
-            shared < len(self.stack)
-            and shared < len(keys)
-            and self.stack[shared][0] == keys[shared]
-        ):
+        common = min(len(self.frame_keys), len(keys))
+        while shared < common and self.frame_keys[shared] == keys[shared]:
             shared += 1
-        if shared < len(self.stack):
-            solver.pop(self.stack[shared][1])
-            del self.stack[shared:]
-        for i in range(shared, len(keys)):
-            fid = solver.push()
-            sels = [solver.assert_soft(c) for c in segments[i + 1]]
-            self.stack.append((keys[i], fid, sels))
-        sels = list(self.base_sels)
-        for _, _, seg_sels in self.stack:
-            sels.extend(seg_sels)
+        if shared < len(self.frame_keys):
+            solver.pop(shared + 1)
+            del self.frame_keys[shared:]
+        for key, segment in zip(keys[shared:], segments[shared + 1 :]):
+            solver.push()
+            self.frame_keys.append(key)
+            for c in segment:
+                solver.assert_soft(c)
         fid = solver.push()
         for c in extra_hard:
             solver.assert_hard(c.formula)
-        result = enumerate_on(solver, sels, config)
+        result = enumerate_on(solver, tuple(solver.selectors), config)
         solver.pop(fid)
         return result
-
-    def stats_totals(self) -> dict:
-        if self.incremental:
-            return dict(self.solver.stats)
-        return dict(self.totals)
 
 
 # ---------------------------------------------------------------------------
@@ -419,33 +406,36 @@ def _deviated_conditions(cfg: Cfg, trace: PathTrace) -> tuple:
 
 
 def diagnose_initial(
-    trace: PathTrace, cfg: Cfg, ce: Counterexample, config: ExplorerConfig
+    trace: PathTrace,
+    cfg: Cfg,
+    ce: Counterexample,
+    config: ExplorerConfig,
+    *,
+    backend: Optional[_Backend] = None,
 ) -> Diagnosis:
-    """Stand-alone diagnosis of the zero-deviation trace (fresh solver)."""
-    backend = _Backend(config.dom, input_constraints(cfg, ce), incremental=False)
-    return _diagnose_initial(trace, cfg, ce, config, backend)
-
-
-def _diagnose_initial(trace, cfg, ce, config, backend) -> Diagnosis:
+    """Diagnose the zero-deviation trace on `backend`, or on a fresh solver."""
+    inputs = input_constraints(cfg, ce)
+    backend = backend or _Backend(config.dom, inputs)
     keys = tuple((s.node, s.taken) for s in trace.decisions)
-    hard = input_constraints(cfg, ce) + (postcondition_constraint(cfg, ce),)
-    result = backend.enumerate_for(keys, trace.segments, hard[len(ce.items) :], config.mcs)
-    cs = ConstraintSet.of(hard, trace.collected)
+    post = postcondition_constraint(cfg, ce)
+    result = backend.enumerate_for(keys, trace.segments, (post,), config.mcs)
+    cs = ConstraintSet.of(inputs + (post,), trace.collected)
     return Diagnosis(INITIAL_PATH, (), result, trace.decisions, cs)
 
 
 def diagnose_deviation(
-    trace: PathTrace, cfg: Cfg, ce: Counterexample, config: ExplorerConfig
+    trace: PathTrace,
+    cfg: Cfg,
+    ce: Counterexample,
+    config: ExplorerConfig,
+    *,
+    backend: Optional[_Backend] = None,
 ) -> Diagnosis:
-    """Stand-alone diagnosis of a corrected deviated trace (fresh solver)."""
-    backend = _Backend(config.dom, input_constraints(cfg, ce), incremental=False)
-    return _diagnose_deviation(trace, cfg, ce, config, backend)
-
-
-def _diagnose_deviation(trace, cfg, ce, config, backend) -> Diagnosis:
+    """Diagnose a corrected deviated trace on `backend`, or on a fresh solver."""
     dev_indices = [i for i, s in enumerate(trace.decisions) if s.deviated]
     if not dev_indices:
         raise ExplorerError("trace has no deviation to diagnose")
+    backend = backend or _Backend(config.dom, input_constraints(cfg, ce))
     last = dev_indices[-1]
     step = trace.decisions[last]
     required = _deviation_requirement(
@@ -493,7 +483,7 @@ def run(
 
     stats = Statistics()
     backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
-    diagnoses = [_diagnose_initial(trace0, cfg, ce, config, backend)]
+    diagnoses = [diagnose_initial(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
 
@@ -529,14 +519,14 @@ def run(
                 stats.paths_explored += 1
                 explored_prefixes.append(seq)
                 if path_satisfies_post(trace, cfg):
-                    diagnoses.append(_diagnose_deviation(trace, cfg, ce, config, backend))
+                    diagnoses.append(diagnose_deviation(trace, cfg, ce, config, backend=backend))
                     stats.mcs_enumerations += 1
                     marks.setdefault(snap.node, d)
                 else:
                     stats.paths_ignored += 1
         frontier = children
 
-    totals = backend.stats_totals()
+    totals = backend.solver.stats
     stats.solver_checks = totals["checks"]
     stats.solver_propagations = totals["propagations"]
     stats.solver_assertions = totals["assertions"]

@@ -277,7 +277,8 @@ def _tokenize(src: str) -> list[Token]:
             # `int` refuses over 4,300 digits: compare lengths first (INT64_MAX has 19)
             digits = text.lstrip("0")
             if len(digits) > 19 or int(digits or "0") > INT64_MAX:
-                raise ParseError(f"integer literal out of 64-bit range: {text}", loc(pos))
+                shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} digits)"
+                raise ParseError(f"integer literal out of 64-bit range: {shown}", loc(pos))
         elif kind == "annot_close":
             if not in_annot:
                 # outside an annotation this is `*`, and the `/` is lexed anew

@@ -19,15 +19,6 @@ SYNTHETIC_NOTE = "possible missing assignment in this branch"
 HARD_UNSAT_NOTE = "no assignment repair: the requirement already contradicts the inputs"
 ALREADY_SAT_NOTE = "path constraints are satisfiable: nothing to correct"
 
-_KIND_TEXT = {
-    ConstraintKind.ASSIGNMENT: "assignment",
-    ConstraintKind.SYNTHETIC_COPY: "synthetic copy",
-    ConstraintKind.INPUT: "input",
-    ConstraintKind.GUARD: "guard",
-    ConstraintKind.POSTCONDITION: "postcondition",
-}
-
-
 def _member_note(c: Constraint):
     if c.kind is ConstraintKind.SYNTHETIC_COPY:
         return SYNTHETIC_NOTE
@@ -84,7 +75,7 @@ def render_text(report: Report) -> str:
         for j, mcs in enumerate(diag.mcs.mcs_list, start=1):
             lines.append(f"  mcs {j} (size {mcs.cardinality}):")
             for c in mcs.members:
-                kind = _KIND_TEXT[c.kind]
+                kind = c.kind.value.replace("_", " ")
                 suffix = f" ({SYNTHETIC_NOTE})" if _member_note(c) else ""
                 lines.append(f"    - line {c.loc.line}: {c.formula} [{kind}]{suffix}")
     s = report.stats

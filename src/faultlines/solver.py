@@ -2,23 +2,28 @@
 
 The engine decides conjunctions of :class:`~faultlines.formulas.Formula`
 over bounded integer variables.  It combines bounds-consistency interval
-propagation on linear atoms with depth-first search (first-fail variable
-choice, smallest value first); disjunctions are handled by unit-style
-propagation plus search-time case splitting, and `!=` only prunes when a
-bound pinches the forbidden value.  Complete on finite boxes.
+propagation on linear atoms with depth-first search that labels one
+variable at a time (first-fail variable choice, smallest value first).
+A disjunction prunes only once all but one of its disjuncts are false,
+and `!=` only prunes when a bound pinches the forbidden value.  Complete
+on finite boxes.
+
+Every asserted formula becomes one propagator: its compiled node, the
+variables it watches and an optional selector.  Without a selector the
+constraint is hard and enforced outright; with one it is reified: an
+enabled selector enforces it, and a box where it cannot hold disables
+the selector.
 
 Incrementality: assertions live on a frame stack.  :meth:`Solver.push`
 opens a frame and :meth:`Solver.pop` restores the exact pre-push state
 (domains, constraints, selectors, registered variables); statistics only
-ever grow.  Soft constraints are guarded by selector variables (0/1):
-an enabled selector enforces its constraint, a disabled one ignores it,
+ever grow.  Soft constraints are guarded by selector variables (0/1),
 and unfixed selectors are decision variables searched after the integer
 variables, so cardinality-bounded removal candidates fall out of models.
 
 A Solver instance must be used from one thread at a time; independent
 instances are fully isolated.
 """
-
 from __future__ import annotations
 
 from collections import deque
@@ -82,56 +87,19 @@ def _ceil_div(a: int, b: int) -> int:
 # Compiled formula nodes: ('lin', op, idxs, coefs, const) with op in
 # {'==', '<=', '!='} meaning  sum(coefs*x) + const  OP  0, or
 # ('and', nodes) / ('or', nodes).
-
-
-class _Frame:
-    __slots__ = ("trail_mark", "props_len", "vars_len", "sels_len")
-
-    def __init__(self, trail_mark, props_len, vars_len, sels_len):
-        self.trail_mark = trail_mark
-        self.props_len = props_len
-        self.vars_len = vars_len
-        self.sels_len = sels_len
+_FALSE = ("lin", "==", (), (), 1)
 
 
 class _Prop:
-    __slots__ = ("watch_idxs", "queued")
+    """A compiled constraint, hard when `sel` is None, else reified on it."""
 
-    def __init__(self, watch_idxs):
+    __slots__ = ("sel", "node", "watch_idxs", "queued")
+
+    def __init__(self, sel, node, watch_idxs):
+        self.sel = sel
+        self.node = node
         self.watch_idxs = tuple(watch_idxs)
         self.queued = False
-
-    def propagate(self, s: "Solver") -> bool:
-        raise NotImplementedError
-
-
-class _NodeProp(_Prop):
-    __slots__ = ("node",)
-
-    def __init__(self, node, watch_idxs):
-        super().__init__(watch_idxs)
-        self.node = node
-
-    def propagate(self, s: "Solver") -> bool:
-        return s._enforce(self.node)
-
-
-class _ReifyProp(_Prop):
-    __slots__ = ("sel_idx", "node")
-
-    def __init__(self, sel_idx, node, watch_idxs):
-        super().__init__(watch_idxs)
-        self.sel_idx = sel_idx
-        self.node = node
-
-    def propagate(self, s: "Solver") -> bool:
-        if s.lo[self.sel_idx] == 1:
-            return s._enforce(self.node)
-        if s.hi[self.sel_idx] == 0:
-            return True
-        if s._status(self.node) is False:
-            return s._set_hi(self.sel_idx, 0)
-        return True
 
 
 class Solver:
@@ -145,7 +113,7 @@ class Solver:
         self.hi: list = []
         self.is_sel: list = []
         self.props: list = []
-        self.watchers: dict = {}  # idx -> list[_Prop]
+        self.watchers: list = []  # idx -> props that watch it
         self.selectors: list = []
         self.trail: list = []  # (idx, is_hi, old value)
         self.frames: list = []
@@ -169,15 +137,14 @@ class Solver:
             self.lo.append(self.dom.lo)
             self.hi.append(self.dom.hi)
             self.is_sel.append(False)
-        self.watchers[idx] = []
+        self.watchers.append([])
         return idx
 
     # -- frames ---------------------------------------------------------------
 
     def push(self) -> int:
-        self.frames.append(
-            _Frame(len(self.trail), len(self.props), len(self.names), len(self.selectors))
-        )
+        frame = (len(self.trail), len(self.props), len(self.names), len(self.selectors))
+        self.frames.append(frame)
         return len(self.frames)
 
     def pop(self, frame_id: Optional[int] = None) -> None:
@@ -187,23 +154,19 @@ class Solver:
             frame_id = len(self.frames)
         if not 1 <= frame_id <= len(self.frames):
             raise SolverUsageError(f"pop targets dead frame {frame_id}")
-        frame = self.frames[frame_id - 1]
+        trail_mark, props_len, vars_len, sels_len = self.frames[frame_id - 1]
         del self.frames[frame_id - 1 :]
-        for p in reversed(self.props[frame.props_len :]):
+        for p in reversed(self.props[props_len:]):
             for v in p.watch_idxs:
                 top = self.watchers[v].pop()
                 assert top is p
-        del self.props[frame.props_len :]
-        del self.selectors[frame.sels_len :]
-        self._undo_to(frame.trail_mark)
-        for name in self.names[frame.vars_len :]:
+        del self.props[props_len:]
+        del self.selectors[sels_len:]
+        self._undo_to(trail_mark)
+        for name in self.names[vars_len:]:
             del self.ids[name]
-        for idx in range(frame.vars_len, len(self.names)):
-            del self.watchers[idx]
-        del self.names[frame.vars_len :]
-        del self.lo[frame.vars_len :]
-        del self.hi[frame.vars_len :]
-        del self.is_sel[frame.vars_len :]
+        for column in (self.names, self.lo, self.hi, self.is_sel, self.watchers):
+            del column[vars_len:]
 
     def _undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -218,7 +181,9 @@ class Solver:
     def assert_hard(self, f: Formula) -> None:
         self.stats["assertions"] += 1
         for conjunct in self._conjuncts(f):
-            self._add_prop_for(conjunct)
+            node, idxs = self._compile(conjunct)
+            if node is not True:
+                self._install(None, node, sorted(set(idxs)))
 
     def assert_soft(self, c: Constraint) -> Selector:
         self.stats["assertions"] += 1
@@ -227,10 +192,7 @@ class Solver:
         node, idxs = self._compile(c.formula)
         if node is True:
             node = ("lin", "==", (), (), 0)  # trivially satisfied
-        elif node is False:
-            node = ("lin", "==", (), (), 1)  # trivially violated
-        prop = _ReifyProp(sel_idx, node, sorted(set(idxs) | {sel_idx}))
-        self._install(prop)
+        self._install(sel_idx, node, sorted(set(idxs) | {sel_idx}))
         sel = Selector(c.id, sel_var, c)
         self.selectors.append(sel)
         return sel
@@ -244,7 +206,7 @@ class Solver:
         n = len(idxs)
         # at most k disabled == at least n-k enabled == -(sum sel) + (n-k) <= 0
         node = ("lin", "<=", idxs, (-1,) * n, n - k)
-        self._install(_NodeProp(node, idxs))
+        self._install(None, node, idxs)
 
     def pin_selector(self, sel: Selector, enabled: bool) -> None:
         """Force a selector for the current frame (undone by pop).
@@ -257,7 +219,7 @@ class Solver:
         v = 1 if enabled else 0
         if self.lo[idx] > v or self.hi[idx] < v:
             # incompatible with an earlier pin: make the frame unsatisfiable
-            self._install(_NodeProp(("lin", "==", (), (), 1), ()))
+            self._install(None, _FALSE, ())
             return
         # raw trail writes: no propagation queue exists outside check()
         if self.lo[idx] < v:
@@ -282,15 +244,8 @@ class Solver:
         else:
             yield f
 
-    def _add_prop_for(self, f: Formula) -> None:
-        node, idxs = self._compile(f)
-        if node is True:
-            return
-        if node is False:
-            node = ("lin", "==", (), (), 1)
-        self._install(_NodeProp(node, sorted(set(idxs))))
-
-    def _install(self, prop: _Prop) -> None:
+    def _install(self, sel: Optional[int], node, watch_idxs) -> None:
+        prop = _Prop(sel, _FALSE if node is False else node, watch_idxs)
         self.props.append(prop)
         for v in prop.watch_idxs:
             self.watchers[v].append(prop)
@@ -506,11 +461,17 @@ class Solver:
             self.queue.popleft().queued = False
 
     def _propagate_all(self) -> bool:
+        lo, hi = self.lo, self.hi
         while self.queue:
             p = self.queue.popleft()
             p.queued = False
             self.stats["propagations"] += 1
-            if not p.propagate(self):
+            sel = p.sel
+            if sel is None or lo[sel] == 1:
+                ok = self._enforce(p.node)
+            else:  # disabled: ignored; free: disabled once the node cannot hold
+                ok = hi[sel] == 0 or self._status(p.node) is not False or self._set_hi(sel, 0)
+            if not ok:
                 self._drain_failed()
                 return False
         return True

@@ -226,8 +226,8 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
         Report,
         Statistics,
         _Backend,
-        _diagnose_deviation,
-        _diagnose_initial,
+        diagnose_deviation,
+        diagnose_initial,
         input_constraints,
         path_satisfies_post,
         propagate,
@@ -240,7 +240,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
 
     stats = Statistics()
     backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
-    diagnoses = [_diagnose_initial(trace0, cfg, ce, config, backend)]
+    diagnoses = [diagnose_initial(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
 
@@ -269,13 +269,13 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
             stats.paths_explored += 1
             explored_prefixes.append(seq)
             if path_satisfies_post(trace, cfg):
-                diagnoses.append(_diagnose_deviation(trace, cfg, ce, config, backend))
+                diagnoses.append(diagnose_deviation(trace, cfg, ce, config, backend=backend))
                 stats.mcs_enumerations += 1
                 marks.setdefault(last_node, d)
             else:
                 stats.paths_ignored += 1
 
-    totals = backend.stats_totals()
+    totals = backend.solver.stats
     stats.solver_checks = totals["checks"]
     stats.solver_propagations = totals["propagations"]
     stats.solver_assertions = totals["assertions"]

@@ -189,7 +189,10 @@ def test_over_long_literal_exits_1(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
     assert code == 1
     assert out == ""
-    assert err == f"error: line 2:24: integer literal out of 64-bit range: {digits}\n"
+    assert err == (
+        "error: line 2:24: integer literal out of 64-bit range: "
+        f"{digits[:20]}... (5000 digits)\n"
+    )
 
 
 def test_over_long_ce_integer_is_usage_error(tmp_path, capsys):
@@ -200,6 +203,18 @@ def test_over_long_ce_integer_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert "counterexample file holds an integer with too many digits" in err
     assert "Traceback" not in err
+
+
+def test_over_long_in_value_is_usage_error(capsys):
+    src = str(CORPUS / "absminus.src")
+    code, out, err = run_cli(capsys, "run", src, "--in", "i=0", "--in", "j=" + "1" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith("error: --in value for 'j' has too many digits")
+    assert "1111" not in err
+    code, _, err = run_cli(capsys, "run", src, "--in", "i=0", "--in", "j=1" + "x" * 10)
+    assert code == 2
+    assert "is not an integer" in err
 
 
 def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
