@@ -32,8 +32,7 @@ treated as immutable and may be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formulas import (
     Constraint,
@@ -53,8 +52,7 @@ ELSE = "else"
 NEXT = "next"
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     target: SsaName
     rhs: LinTerm  # affine in earlier versions
     loc: SourceLoc
@@ -63,41 +61,39 @@ class Assignment:
     constraint: Constraint  # the soft `target = rhs`, with id `cid`
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
     id: str
 
 
-@dataclass
-class Exit:
+class Exit(NamedTuple):
     id: str
 
 
-@dataclass
 class Block:
-    id: str
-    assignments: list
+    __slots__ = ("id", "assignments")
+
+    def __init__(self, id: str, assignments: list):
+        self.id, self.assignments = id, assignments
 
 
-@dataclass
 class Decision:
-    id: str
-    guard: Formula
-    loc: SourceLoc
+    __slots__ = ("id", "guard", "loc")
+
+    def __init__(self, id: str, guard: Formula, loc: SourceLoc):
+        self.id, self.guard, self.loc = id, guard, loc
 
 
-@dataclass
 class Cfg:
-    name: str
-    param_locs: dict
-    nodes: dict
-    edges: dict  # id -> list[(label, dst)]
-    entry: str
-    exit: str
-    decision_order: tuple
-    result_var: str
-    ensures_loc: SourceLoc
-    postcondition: Formula  # \result is the final result version
+    __slots__ = ("name", "param_locs", "nodes", "edges", "entry", "exit", "decision_order",
+                 "result_var", "ensures_loc", "postcondition")
+
+    def __init__(self, name, param_locs, nodes, edges, entry, exit, decision_order,
+                 result_var, ensures_loc, postcondition):
+        # edges: id -> list[(label, dst)]; postcondition: \result is the final result version
+        self.name, self.param_locs, self.nodes, self.edges = name, param_locs, nodes, edges
+        self.entry, self.exit, self.decision_order = entry, exit, decision_order
+        self.result_var, self.ensures_loc = result_var, ensures_loc
+        self.postcondition = postcondition
 
     def successors(self, nid: str) -> list:
         return self.edges.get(nid, [])

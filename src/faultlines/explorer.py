@@ -33,9 +33,8 @@ propagations are identical, only the assertion counter differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cfg import (
     ELSE,
@@ -57,6 +56,7 @@ from .formulas import (
     negate,
 )
 from .mcs import McsConfig, McsResult, enumerate_on
+from .records import validated
 from .solver import DomainConfig, Solver
 
 
@@ -83,8 +83,7 @@ class OverflowAbandonedError(ExplorerError):
         self.snapshots = tuple(snapshots)  # as PathTrace.snapshots, up to the overflow
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Concrete inputs, one per function parameter, in parameter order."""
 
     items: tuple
@@ -104,26 +103,24 @@ class Counterexample:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
-class ExplorerConfig:
+@validated
+class ExplorerConfig(NamedTuple):
     b_cond: int = 2
     mcs: McsConfig = McsConfig()
     dom: DomainConfig = DomainConfig()
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.b_cond < 0:
             raise ValueError("b_cond must be >= 0")
 
 
-@dataclass(frozen=True)
-class DecisionStep:
+class DecisionStep(NamedTuple):
     node: str
     taken: str  # THEN or ELSE (the branch actually followed)
     deviated: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Snapshot:
+class Snapshot(NamedTuple):
     """A path's state on arrival at decision `node`, before its guard is read.
 
     The prefix lists belong to the path that took the snapshot and only
@@ -140,18 +137,18 @@ class Snapshot:
     segments: list
 
 
-@dataclass
 class PathTrace:
-    decisions: tuple
-    collected: tuple  # soft constraints in path order, path_index set
-    segments: tuple  # len(decisions)+1 groups; segments[i] precedes decision i
-    final_model: dict
-    # one per decision reached after the last flip, in path order
-    snapshots: tuple = field(default=(), compare=False, repr=False)
+    __slots__ = ("decisions", "collected", "segments", "final_model", "snapshots")
+
+    def __init__(self, decisions, collected, segments, final_model: dict, snapshots=()):
+        self.decisions = decisions
+        self.collected = collected  # soft constraints in path order, path_index set
+        self.segments = segments  # len(decisions)+1 groups; segments[i] precedes decision i
+        self.final_model = final_model
+        self.snapshots = snapshots  # one per decision reached after the last flip, in path order
 
 
-@dataclass(frozen=True)
-class DeviatedCondition:
+class DeviatedCondition(NamedTuple):
     node: str
     loc: object
     guard_text: str
@@ -161,43 +158,40 @@ INITIAL_PATH = "initial_path"
 DEVIATION_CORRECTS = "deviation_corrects"
 
 
-@dataclass
 class Diagnosis:
-    kind: str
-    deviated: tuple  # DeviatedCondition, in path order (>=1 for deviations)
-    mcs: McsResult
-    path: tuple  # DecisionStep sequence of the diagnosed path
-    constraints: object = None  # the ConstraintSet the MCSs were computed over
+    __slots__ = ("kind", "deviated", "mcs", "path", "constraints")
+
+    def __init__(self, kind: str, deviated, mcs: McsResult, path, constraints=None):
+        self.kind = kind
+        self.deviated = deviated  # DeviatedCondition, in path order (>=1 for deviations)
+        self.mcs = mcs
+        self.path = path  # DecisionStep sequence of the diagnosed path
+        self.constraints = constraints  # the ConstraintSet the MCSs were computed over
 
 
-@dataclass
 class Statistics:
-    paths_explored: int = 0
-    paths_ignored: int = 0
-    rejected_marked: int = 0
-    rejected_prefix: int = 0
-    rejected_unreached: int = 0
-    overflow_abandoned: int = 0
-    mcs_enumerations: int = 0
-    solver_checks: int = 0
-    solver_propagations: int = 0
-    solver_assertions: int = 0
+    __slots__ = ("paths_explored", "paths_ignored", "rejected_marked", "rejected_prefix",
+                 "rejected_unreached", "overflow_abandoned", "mcs_enumerations",
+                 "solver_checks", "solver_propagations", "solver_assertions")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def rejected(self) -> int:
         return self.rejected_marked + self.rejected_prefix
 
 
-@dataclass
 class Report:
-    program: str
-    counterexample: Counterexample
-    b_cond: int
-    mcs_config: McsConfig
-    dom: DomainConfig
-    incremental: bool
-    diagnoses: tuple
-    stats: Statistics
+    __slots__ = ("program", "counterexample", "b_cond", "mcs_config", "dom", "incremental",
+                 "diagnoses", "stats")
+
+    def __init__(self, program, counterexample, b_cond, mcs_config, dom, incremental,
+                 diagnoses, stats):
+        self.program, self.counterexample, self.b_cond = program, counterexample, b_cond
+        self.mcs_config, self.dom, self.incremental = mcs_config, dom, incremental
+        self.diagnoses, self.stats = diagnoses, stats
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ files): a constraint prints as e.g. ``k_1 = k_0 + 2 @ line 10``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .frontend import (
     CMP_EVAL,
@@ -36,6 +35,7 @@ from .frontend import (
     SourceLoc,
     VarRef,
 )
+from .records import Node, validated
 
 CMP_FLIP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 CMP_RENDER = {"==": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -49,8 +49,7 @@ class NonLinearError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SsaName:
+class SsaName(NamedTuple):
     """A versioned variable: version 0 is the input/initial value."""
 
     base: str
@@ -65,8 +64,7 @@ class SsaName:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinTerm:
+class LinTerm(NamedTuple):
     """Canonical linear term: sorted coefficient pairs plus a constant.
 
     Zero coefficients are never stored, so algebraically equal terms
@@ -184,39 +182,33 @@ def linterm_from_expr(e: Expr, var, result: SsaName | None = None) -> LinTerm:
 # ---------------------------------------------------------------------------
 
 
-class Formula:
+class Formula(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    op: str  # '==', '!=', '<', '<=', '>', '>='
-    lhs: LinTerm
-    rhs: LinTerm
+    __slots__ = ("op", "lhs", "rhs")  # op: '==', '!=', '<', '<=', '>' or '>='; LinTerm sides
 
     def __str__(self) -> str:
         return f"{self.lhs.render()} {CMP_RENDER[self.op]} {self.rhs.render()}"
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    items: tuple
+    __slots__ = ("items",)
 
     def __str__(self) -> str:
         return " && ".join(_paren(i) for i in self.items)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    items: tuple
+    __slots__ = ("items",)
 
     def __str__(self) -> str:
         return " || ".join(_paren(i) for i in self.items)
 
 
-@dataclass(frozen=True)
 class BoolConst(Formula):
-    value: bool
+    __slots__ = ("value",)
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
@@ -322,8 +314,7 @@ class ConstraintKind(enum.Enum):
         return self in (ConstraintKind.ASSIGNMENT, ConstraintKind.SYNTHETIC_COPY)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """A formula with provenance: stable id, kind, source line, path slot."""
 
     id: int
@@ -333,7 +324,7 @@ class Constraint:
     path_index: int = -1
 
     def at_path_index(self, i: int) -> "Constraint":
-        return replace(self, path_index=i)
+        return self._replace(path_index=i)
 
     def render(self) -> str:
         return f"{self.formula} @ line {self.loc.line}"
@@ -354,8 +345,8 @@ def assign_to_constraint(
     return Constraint(cid, Atom("==", LinTerm.var(target), rhs), kind, loc)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+@validated
+class ConstraintSet(NamedTuple):
     """Hard/soft split of a path's constraints.
 
     Input, postcondition and deviation-guard constraints are hard;
@@ -365,7 +356,7 @@ class ConstraintSet:
     hard: tuple
     soft: tuple
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for c in self.hard:
             if c.kind.is_soft:
                 raise ValueError(f"{c.kind.value} constraint cannot be hard: {c}")

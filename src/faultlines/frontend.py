@@ -28,9 +28,10 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, NamedTuple, Optional
+
+from .records import Node
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -61,16 +62,11 @@ class UnsupportedConstructError(FrontendError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SourceLoc:
+class SourceLoc(NamedTuple):
     """1-based (line, column) position inside the input text."""
 
     line: int
     column: int
-
-    def __post_init__(self) -> None:
-        if self.line < 1 or self.column < 1:
-            raise ValueError(f"invalid source location {self.line}:{self.column}")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -86,116 +82,75 @@ class SourceLoc:
 # variable.
 
 
-class Expr:
+class Expr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("value", "loc")
 
 
-@dataclass(frozen=True)
 class VarRef(Expr):
-    name: str
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("name", "loc")
 
 
-@dataclass(frozen=True)
 class ResultRef(Expr):
     """`\\result` -- only permitted inside `ensures` annotations."""
 
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("loc",)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("operand", "loc")
 
 
-@dataclass(frozen=True)
 class Arith(Expr):
-    op: str  # '+', '-' or '*'
-    lhs: Expr
-    rhs: Expr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("op", "lhs", "rhs", "loc")  # op: '+', '-' or '*'
 
 
-class BoolExpr:
+class BoolExpr(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Cmp(BoolExpr):
-    op: str  # one of CMP_OPS
-    lhs: Expr
-    rhs: Expr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("op", "lhs", "rhs", "loc")  # op: one of CMP_OPS
 
 
-@dataclass(frozen=True)
 class Logic(BoolExpr):
-    op: str  # '&&', '||' or '==>'; '==>' is only legal inside annotations
-    lhs: BoolExpr
-    rhs: BoolExpr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("op", "lhs", "rhs", "loc")  # op: '&&', '||' or '==>' (annotations only)
 
 
-@dataclass(frozen=True)
 class BoolNot(BoolExpr):
-    operand: BoolExpr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("operand", "loc")
 
 
-class Stmt:
+class Stmt(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Decl(Stmt):
-    name: str
-    init: Optional[Expr]
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("name", "init", "loc")  # init: an Expr, or None
 
 
-@dataclass(frozen=True)
 class Assign(Stmt):
-    target: str
-    rhs: Expr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("target", "rhs", "loc")
 
 
-@dataclass(frozen=True)
 class If(Stmt):
-    cond: BoolExpr
-    then_body: tuple
-    else_body: tuple  # empty tuple for `else`-less ifs
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("cond", "then_body", "else_body", "loc")  # tuples; else_body () if absent
 
 
-@dataclass(frozen=True)
 class Return(Stmt):
-    expr: Expr
-    loc: SourceLoc = field(compare=False)
+    __slots__ = ("expr", "loc")
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    loc: SourceLoc = field(compare=False)
+class Param(Node):
+    __slots__ = ("name", "loc")
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    params: tuple
-    body: tuple
-    precondition: Optional[BoolExpr]
-    postcondition: BoolExpr
-    loc: SourceLoc = field(compare=False)
-    ensures_loc: SourceLoc = field(compare=False)
+class Function(Node):
+    # params and body are tuples; precondition is a BoolExpr or None
+    __slots__ = ("name", "params", "body", "precondition", "postcondition", "loc", "ensures_loc")
 
     @property
     def param_names(self) -> tuple:
@@ -579,8 +534,7 @@ def parse_program(text: str) -> Function:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     loc: SourceLoc
 
@@ -776,11 +730,12 @@ class EvalError(Exception):
     pass
 
 
-@dataclass
 class RunResult:
-    result: int
-    postcondition_holds: bool
-    precondition_holds: bool
+    __slots__ = ("result", "postcondition_holds", "precondition_holds")
+
+    def __init__(self, result: int, postcondition_holds: bool, precondition_holds: bool):
+        self.result, self.postcondition_holds = result, postcondition_holds
+        self.precondition_holds = precondition_holds
 
 
 # Each evaluator tests exact node types, most frequent first as counted on

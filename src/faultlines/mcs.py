@@ -15,24 +15,24 @@ independent of solver search order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formulas import Atom, ConstraintSet, LinTerm, disj
+from .records import validated
 from .solver import UNSAT, DomainConfig, Solver
 
 
-@dataclass(frozen=True)
-class McsConfig:
+@validated
+class McsConfig(NamedTuple):
     b_mcs: int = 3  # maximum number of MCSs returned
     k_max: int = 2  # maximum MCS cardinality
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.b_mcs < 1 or self.k_max < 1:
             raise ValueError("b_mcs and k_max must be >= 1")
 
 
-@dataclass(frozen=True)
-class Mcs:
+class Mcs(NamedTuple):
     """An irreducible correction set; members ordered latest-on-path first."""
 
     members: tuple  # Constraint, sorted by path_index descending
@@ -56,10 +56,11 @@ ALREADY_SAT = "already_sat"  # hard + soft satisfiable: nothing to correct
 HARD_UNSAT = "hard_unsat"  # hard alone unsatisfiable: no removal helps
 
 
-@dataclass(frozen=True)
 class McsResult:
-    mcs_list: tuple
-    flag: str
+    __slots__ = ("mcs_list", "flag")
+
+    def __init__(self, mcs_list: tuple, flag: str):
+        self.mcs_list, self.flag = mcs_list, flag
 
     def __iter__(self):
         return iter(self.mcs_list)

@@ -27,8 +27,7 @@ instances are fully isolated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .formulas import (
     And,
@@ -40,6 +39,7 @@ from .formulas import (
     Or,
     SsaName,
 )
+from .records import validated
 
 SELECTOR_BASE = "_sel"
 
@@ -48,20 +48,19 @@ class SolverUsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DomainConfig:
+@validated
+class DomainConfig(NamedTuple):
     """Inclusive bounds applied to every integer variable."""
 
     lo: int = -32768
     hi: int = 32767
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty domain [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(NamedTuple):
     """0/1 guard variable tied one-to-one to a soft constraint id."""
 
     id: int
@@ -69,8 +68,7 @@ class Selector:
     constraint: Constraint
 
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(NamedTuple):
     """A satisfying assignment plus the selectors it left disabled."""
 
     model: dict

@@ -214,7 +214,24 @@ def test_over_long_in_value_is_usage_error(capsys):
     assert "1111" not in err
     code, _, err = run_cli(capsys, "run", src, "--in", "i=0", "--in", "j=1" + "x" * 10)
     assert code == 2
-    assert "is not an integer" in err
+    assert err.splitlines()[-1].endswith("--in value for 'j' is not an integer: '1xxxxxxxxxx'")
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        ("j=" + "x" * 5000, f"value for 'j' is not an integer: '{'x' * 20}'... (5000 characters)"),
+        ("x" * 5000, f"--in expects NAME=INT, got '{'x' * 20}'... (5000 characters)"),
+        ("y" * 5000 + "=x", f"value for '{'y' * 20}'... (5000 characters) is not an integer: 'x'"),
+    ],
+)
+def test_malformed_in_binding_is_cut_in_the_error(capsys, binding, message):
+    src = str(CORPUS / "absminus.src")
+    code, out, err = run_cli(capsys, "run", src, "--in", "i=0", "--in", binding)
+    assert code == 2
+    assert out == ""
+    assert len(err.encode("utf-8")) < 300
+    assert err.splitlines()[-1].endswith(message)
 
 
 def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
@@ -407,16 +424,30 @@ def test_config_from_args_rejects_bad_flags():
     assert e.value.code == 2
 
 
-def test_import_does_not_load_numpy():
+def _src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_import_does_not_load_numpy():
     code = "import sys, faultlines, faultlines.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_ast():
+    # in a fresh interpreter: pytest has loaded these modules itself
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_cold_import.py")],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert str(ROOT / "src" / "faultlines" / "cli.py") in proc.stdout
 
 
 def test_installed_entry_point_help():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import operator
@@ -12,6 +11,7 @@ from faultlines.frontend import (
     Decl,
     INT64_MAX,
     EvalError,
+    Function,
     If,
     Logic,
     ParseError,
@@ -390,7 +390,10 @@ def _result_in_requires_and_body():
     fn = parse_program(ILL_TYPED_ANNOTATIONS)
     at = SourceLoc
     ret = Return(Arith("*", ResultRef(at(6, 10)), VarRef("x", at(6, 20)), at(6, 15)), at(6, 3))
-    return dataclasses.replace(fn, precondition=fn.postcondition, body=(ret,))
+    return Function(
+        name=fn.name, params=fn.params, body=(ret,), precondition=fn.postcondition,
+        postcondition=fn.postcondition, loc=fn.loc, ensures_loc=fn.ensures_loc,
+    )
 
 
 @pytest.mark.parametrize(
