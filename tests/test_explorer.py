@@ -434,10 +434,12 @@ def test_run_is_deterministic():
 
 
 def _outcome(explore, g, ce, config):
+    # the report prints only the sum of the two rejection counters
     try:
-        return render_json(explore(g, ce, config))
+        report = explore(g, ce, config)
     except (NothingToLocalizeError, OverflowAbandonedError) as e:
         return type(e).__name__, str(e)
+    return render_json(report), report.stats.rejected_marked, report.stats.rejected_prefix
 
 
 def _random_case(seed, b_cond, dom):
