@@ -17,8 +17,7 @@ from .explorer import (
     NothingToLocalizeError,
     PathTrace,
     Report,
-    diagnose_deviation,
-    diagnose_initial,
+    diagnose,
     path_satisfies_post,
     propagate,
     run,
@@ -71,8 +70,7 @@ __all__ = [
     "UNSAT",
     "assign_to_constraint",
     "build_cfg",
-    "diagnose_deviation",
-    "diagnose_initial",
+    "diagnose",
     "enumerate_mcs",
     "enumerate_paths",
     "eval_formula",

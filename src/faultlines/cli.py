@@ -33,6 +33,7 @@ from .explorer import (
 )
 from .frontend import FrontendError, interpret, parse_program, typecheck
 from .mcs import McsConfig
+from .records import shown
 from .report import render_json, render_text
 from .solver import DomainConfig
 
@@ -137,11 +138,6 @@ def config_from_args(flags) -> ExplorerConfig:
     return _explorer_config(_build_arg_parser().parse_args(["run", "-", *_join_domain(flags)]))
 
 
-def _shown(text: str) -> str:
-    """`text` quoted for an error line; past 40 characters, its start and length."""
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-
-
 def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
     if args.inputs and args.ce_file:
         parser.error("use either --in bindings or --ce-file, not both")
@@ -165,14 +161,14 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
     for binding in args.inputs:
         name, sep, value = binding.partition("=")
         if not sep or not name:
-            parser.error(f"--in expects NAME=INT, got {_shown(binding)}")
+            parser.error(f"--in expects NAME=INT, got {shown(binding)}")
         try:
             out[name] = int(value)
         except ValueError:
             if re.fullmatch(r"\s*[+-]?\d+\s*", value):
                 # an integer over Python's 4,300-digit conversion limit
-                parser.error(f"--in value for {_shown(name)} has too many digits")
-            parser.error(f"--in value for {_shown(name)} is not an integer: {_shown(value)}")
+                parser.error(f"--in value for {shown(name)} has too many digits")
+            parser.error(f"--in value for {shown(name)} is not an integer: {shown(value)}")
     return out
 
 

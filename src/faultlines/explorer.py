@@ -14,12 +14,14 @@ Given a DSA-form graph and a failing input, the runner
    never met, or as overflowed when that path left the domain box.  An
    executed candidate is dropped without solving when its last flipped
    decision already corrected the program at an equal or lower
-   deviation level (condition marking), or when its decision sequence up
-   to its last flip extends a previously explored deviated prefix.  A
-   surviving candidate whose path satisfies the postcondition yields a
-   diagnosis: the flipped conditions themselves, plus the MCSs of the
-   constraints collected before the last flip conjoined with the guard
-   value that forces the flipped branch;
+   deviation level (condition marking), or when it extends an explored
+   flip set (prefix deduplication).  That is the same as its path, up to
+   its last flip, extending an explored path up to that path's last
+   flip: the same inputs taking the same branches give the same guard
+   values.  A surviving candidate whose path satisfies the postcondition
+   yields a diagnosis: the flipped conditions themselves, plus the MCSs
+   of the constraints collected before the last flip conjoined with the
+   guard value that forces the flipped branch;
 3. assembles a deterministic report (diagnoses ordered by deviation
    count, then discovery; statistics include solver counters).
 
@@ -56,7 +58,7 @@ from .formulas import (
     negate,
 )
 from .mcs import McsConfig, McsResult, enumerate_on
-from .records import validated
+from .records import shown, validated
 from .solver import DomainConfig, Solver
 
 
@@ -96,7 +98,9 @@ class Counterexample(NamedTuple):
             raise ExplorerError(f"counterexample misses parameter(s): {', '.join(missing)}")
         extra = [k for k in mapping if k not in params]
         if extra:
-            raise ExplorerError(f"counterexample has unknown key(s): {', '.join(extra)}")
+            raise ExplorerError(
+                f"counterexample has unknown key(s): {', '.join(map(shown, extra))}"
+            )
         return Counterexample(tuple((p, int(mapping[p])) for p in params))
 
     def as_dict(self) -> dict:
@@ -124,26 +128,25 @@ class Snapshot(NamedTuple):
     """A path's state on arrival at decision `node`, before its guard is read.
 
     The prefix lists belong to the path that took the snapshot and only
-    grow at their ends, so their first `depth` decisions, `size`
-    constraints and `depth + 1` segments stay as they were on arrival.
+    grow at their ends, so their first `depth` decisions and `depth + 1`
+    segments stay as they were on arrival.
     """
 
     node: str
     depth: int
-    size: int
     model: dict
     decisions: list
-    collected: list
     segments: list
 
 
 class PathTrace:
-    __slots__ = ("decisions", "collected", "segments", "final_model", "snapshots")
+    __slots__ = ("decisions", "segments", "final_model", "snapshots")
 
-    def __init__(self, decisions, collected, segments, final_model: dict, snapshots=()):
+    def __init__(self, decisions, segments, final_model: dict, snapshots=()):
         self.decisions = decisions
-        self.collected = collected  # soft constraints in path order, path_index set
-        self.segments = segments  # len(decisions)+1 groups; segments[i] precedes decision i
+        # the soft constraints in path order, in len(decisions)+1 groups;
+        # segments[i] precedes decision i
+        self.segments = segments
         self.final_model = final_model
         self.snapshots = snapshots  # one per decision reached after the last flip, in path order
 
@@ -253,13 +256,11 @@ def propagate(
                 raise OverflowAbandonedError(name, value, dom)
         model = {SsaName(name, 0): value for name, value in ce.items}
         decisions: list = []
-        collected: list = []
         segments: list = [[]]
         nid = cfg.entry
     else:
         model = dict(resume.model)
         decisions = resume.decisions[: resume.depth]
-        collected = resume.collected[: resume.size]
         # the shared groups are complete: a new one opens at this decision
         segments = resume.segments[: resume.depth + 1]
         nid = resume.node
@@ -278,9 +279,7 @@ def propagate(
                     visited = (s.node for s in decisions)
                     raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
                 model[a.target] = value
-                inst = a.constraint.at_path_index(len(collected))
-                collected.append(inst)
-                segments[-1].append(inst)
+                segments[-1].append(a.constraint)
             nid = cfg.successors(nid)[0][1]
             continue
         if isinstance(node, Decision):
@@ -289,8 +288,7 @@ def propagate(
                 snapshots.clear()
             else:
                 snapshots.append(
-                    Snapshot(nid, len(decisions), len(collected), dict(model),
-                             decisions, collected, segments)
+                    Snapshot(nid, len(decisions), dict(model), decisions, segments)
                 )
             value = eval_formula(node.guard, model)
             taken = THEN if value else ELSE
@@ -306,7 +304,6 @@ def propagate(
         raise DeviationUnreachedError(missing)
     return PathTrace(
         decisions=tuple(decisions),
-        collected=tuple(collected),
         segments=tuple(tuple(seg) for seg in segments),
         final_model=model,
         snapshots=tuple(snapshots),
@@ -399,7 +396,7 @@ def _deviated_conditions(cfg: Cfg, trace: PathTrace) -> tuple:
     return tuple(out)
 
 
-def diagnose_initial(
+def diagnose(
     trace: PathTrace,
     cfg: Cfg,
     ce: Counterexample,
@@ -407,44 +404,27 @@ def diagnose_initial(
     *,
     backend: Optional[_Backend] = None,
 ) -> Diagnosis:
-    """Diagnose the zero-deviation trace on `backend`, or on a fresh solver."""
+    """Diagnose `trace` on `backend`, or on a fresh solver.
+
+    A trace without deviation is diagnosed over its whole path against
+    the postcondition; a corrected deviated trace over the path before
+    its last flip, against the guard value that forces that flip.
+    """
     inputs = input_constraints(cfg, ce)
     backend = backend or _Backend(config.dom, inputs)
-    keys = tuple((s.node, s.taken) for s in trace.decisions)
-    post = postcondition_constraint(cfg, ce)
-    result = backend.enumerate_for(keys, trace.segments, (post,), config.mcs)
-    cs = ConstraintSet.of(inputs + (post,), trace.collected)
-    return Diagnosis(INITIAL_PATH, (), result, trace.decisions, cs)
-
-
-def diagnose_deviation(
-    trace: PathTrace,
-    cfg: Cfg,
-    ce: Counterexample,
-    config: ExplorerConfig,
-    *,
-    backend: Optional[_Backend] = None,
-) -> Diagnosis:
-    """Diagnose a corrected deviated trace on `backend`, or on a fresh solver."""
-    dev_indices = [i for i, s in enumerate(trace.decisions) if s.deviated]
-    if not dev_indices:
-        raise ExplorerError("trace has no deviation to diagnose")
-    backend = backend or _Backend(config.dom, input_constraints(cfg, ce))
-    last = dev_indices[-1]
-    step = trace.decisions[last]
-    required = _deviation_requirement(
-        cfg, step, _id_base(cfg) + len(ce.items) + 1 + last
-    )
+    flips = [i for i, s in enumerate(trace.decisions) if s.deviated]
+    if flips:
+        kind, last = DEVIATION_CORRECTS, flips[-1]
+        cid = _id_base(cfg) + len(ce.items) + 1 + last
+        extra = _deviation_requirement(cfg, trace.decisions[last], cid)
+    else:
+        kind, last = INITIAL_PATH, len(trace.decisions)
+        extra = postcondition_constraint(cfg, ce)
     keys = tuple((s.node, s.taken) for s in trace.decisions[:last])
     segments = trace.segments[: last + 1]
-    result = backend.enumerate_for(keys, segments, (required,), config.mcs)
-    cs = ConstraintSet.of(
-        input_constraints(cfg, ce) + (required,),
-        [c for seg in segments for c in seg],
-    )
-    return Diagnosis(
-        DEVIATION_CORRECTS, _deviated_conditions(cfg, trace), result, trace.decisions, cs
-    )
+    result = backend.enumerate_for(keys, segments, (extra,), config.mcs)
+    cs = ConstraintSet.of(inputs + (extra,), [c for seg in segments for c in seg])
+    return Diagnosis(kind, _deviated_conditions(cfg, trace), result, trace.decisions, cs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +457,7 @@ def run(
 
     stats = Statistics()
     backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
-    diagnoses = [diagnose_initial(trace0, cfg, ce, config, backend=backend)]
+    diagnoses = [diagnose(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
 
@@ -485,35 +465,34 @@ def run(
     b = min(config.b_cond, n)
     stats.rejected_unreached += _skipped(n, b, 0, len(trace0.decisions), own=False)
     marks: dict = {}
-    explored_prefixes: list = []
-    # (flip set, snapshots after its last flip); decisions are numbered
-    # depth-first, so a path meets them in decision order and the flip
-    # sets of each level come out in lexicographic order
-    frontier = [((), trace0.snapshots)]
+    # (flip set, snapshots after its last flip, whether it or a flip set
+    # it extends was explored); decisions are numbered depth-first, so a
+    # path meets them in decision order and the flip sets of each level
+    # come out in lexicographic order
+    frontier = [((), trace0.snapshots, False)]
     for d in range(1, b + 1):
         children = []
-        for flips, snapshots in frontier:
+        for flips, snapshots, extends_explored in frontier:
             for snap in snapshots:
                 candidate = flips + (snap.node,)
                 try:
                     trace = propagate(cfg, ce, candidate, config.dom, resume=snap)
                 except OverflowAbandonedError as e:
                     stats.overflow_abandoned += _skipped(n, b, d, len(e.visited), own=True)
-                    children.append((candidate, e.snapshots))
+                    children.append((candidate, e.snapshots, extends_explored))
                     continue
                 stats.rejected_unreached += _skipped(n, b, d, len(trace.decisions), own=False)
-                children.append((candidate, trace.snapshots))
                 if marks.get(snap.node, b + 1) <= d:
                     stats.rejected_marked += 1
+                    children.append((candidate, trace.snapshots, extends_explored))
                     continue
-                seq = tuple((s.node, s.taken) for s in trace.decisions[: snap.depth + 1])
-                if any(seq[: len(p)] == p for p in explored_prefixes):
+                children.append((candidate, trace.snapshots, True))
+                if extends_explored:
                     stats.rejected_prefix += 1
                     continue
                 stats.paths_explored += 1
-                explored_prefixes.append(seq)
                 if path_satisfies_post(trace, cfg):
-                    diagnoses.append(diagnose_deviation(trace, cfg, ce, config, backend=backend))
+                    diagnoses.append(diagnose(trace, cfg, ce, config, backend=backend))
                     stats.mcs_enumerations += 1
                     marks.setdefault(snap.node, d)
                 else:

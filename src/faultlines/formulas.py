@@ -315,16 +315,12 @@ class ConstraintKind(enum.Enum):
 
 
 class Constraint(NamedTuple):
-    """A formula with provenance: stable id, kind, source line, path slot."""
+    """A formula with provenance: stable id, kind and source line."""
 
     id: int
     formula: Formula
     kind: ConstraintKind
     loc: SourceLoc
-    path_index: int = -1
-
-    def at_path_index(self, i: int) -> "Constraint":
-        return self._replace(path_index=i)
 
     def render(self) -> str:
         return f"{self.formula} @ line {self.loc.line}"

@@ -9,8 +9,9 @@ disabled set is a new MCS (smaller MCSs were exhausted at earlier k, and
 a blocking clause per found MCS keeps at least one of its members
 enabled, excluding duplicates and supersets).  Each cardinality level is
 exhausted before results are ordered and the `b_mcs` cut is applied, so
-the documented tie-break (latest constraint on the path first) is
-independent of solver search order.
+the documented tie-break is independent of solver search order: it
+compares the members' positions in the selector list, which follows the
+path, latest first.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class McsConfig(NamedTuple):
 class Mcs(NamedTuple):
     """An irreducible correction set; members ordered latest-on-path first."""
 
-    members: tuple  # Constraint, sorted by path_index descending
+    members: tuple  # Constraint, latest selector first
 
     @property
     def ids(self) -> frozenset:
@@ -72,18 +73,16 @@ class McsResult:
         return {m.ids for m in self.mcs_list}
 
 
-def _mcs_sort_key(m: Mcs):
-    return tuple(sorted((c.path_index for c in m.members), reverse=True))
-
-
 def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
     """Core enumeration over a solver whose hard/soft state is asserted.
 
-    `sels` are the selectors of the soft constraints, in path order.
-    Frames pushed here are popped before returning, so the caller's
-    assertion stack is preserved.
+    `sels` are the selectors of the soft constraints, in path order.  An
+    MCS lists its members latest first, and a level lists its MCSs by
+    their members' positions in `sels`, compared latest first.  Frames
+    pushed here are popped before returning, so the caller's assertion
+    stack is preserved.
     """
-    by_id = {sel.id: sel.constraint for sel in sels}
+    position = {sel.id: i for i, sel in enumerate(sels)}
 
     fid = solver.push()
     for sel in sels:
@@ -108,12 +107,12 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
         solver.assert_at_most_disabled(sels, k)
         for b in blocks:
             solver.assert_hard(b)
-        level: list[frozenset] = []
+        level: list = []  # each MCS as its members' positions, latest first
         while True:
             r = solver.check()
             if r is UNSAT:
                 break
-            level.append(r.disabled)
+            level.append(sorted((position[i] for i in r.disabled), reverse=True))
             block = disj(
                 Atom("==", LinTerm.var(sel.var), LinTerm.constant(1))
                 for sel in sels
@@ -122,12 +121,8 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
             solver.assert_hard(block)
             blocks.append(block)
         solver.pop(fid)
-        level_mcs = [
-            Mcs(tuple(sorted((by_id[i] for i in ids), key=lambda c: -c.path_index)))
-            for ids in level
-        ]
-        level_mcs.sort(key=_mcs_sort_key, reverse=True)
-        found.extend(level_mcs)
+        level.sort(reverse=True)
+        found.extend(Mcs(tuple(sels[p].constraint for p in mcs)) for mcs in level)
         if len(found) >= config.b_mcs:
             del found[config.b_mcs :]
             break
@@ -139,7 +134,7 @@ def enumerate_mcs(
 ) -> McsResult:
     """Enumerate up to `b_mcs` MCSs of size <= `k_max` for a constraint set.
 
-    Output is ordered by (cardinality ascending, then latest-on-path
+    Output is ordered by (cardinality ascending, then latest in `cs.soft`
     first).  Instead of erroring on violated preconditions the result is
     flagged: `already_sat` when hard + soft is satisfiable, `hard_unsat`
     when the hard constraints alone are not.

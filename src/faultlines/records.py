@@ -1,5 +1,6 @@
-"""The base class of the syntax and formula trees, and field checks for
-the `typing.NamedTuple` records, which may not define `__new__`."""
+"""The base class of the syntax and formula trees, field checks for the
+`typing.NamedTuple` records, which may not define `__new__`, and the
+quoting of user text in error messages."""
 
 
 class Node:
@@ -46,3 +47,8 @@ def validated(cls):
 
     cls.__new__ = __new__
     return cls
+
+
+def shown(text: str) -> str:
+    """`text` quoted for an error line; past 40 characters, its start and length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"

@@ -226,8 +226,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
         Report,
         Statistics,
         _Backend,
-        diagnose_deviation,
-        diagnose_initial,
+        diagnose,
         input_constraints,
         path_satisfies_post,
         propagate,
@@ -240,7 +239,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
 
     stats = Statistics()
     backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
-    diagnoses = [diagnose_initial(trace0, cfg, ce, config, backend=backend)]
+    diagnoses = [diagnose(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
 
@@ -269,7 +268,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
             stats.paths_explored += 1
             explored_prefixes.append(seq)
             if path_satisfies_post(trace, cfg):
-                diagnoses.append(diagnose_deviation(trace, cfg, ce, config, backend=backend))
+                diagnoses.append(diagnose(trace, cfg, ce, config, backend=backend))
                 stats.mcs_enumerations += 1
                 marks.setdefault(last_node, d)
             else:
@@ -344,7 +343,7 @@ def random_system(rng, max_vars=4, max_soft=8, max_hard=2) -> ConstraintSet:
         for i in range(n_hard)
     ]
     soft = [
-        Constraint(i, random_atom(rng, names), ConstraintKind.ASSIGNMENT, _loc(), path_index=i)
+        Constraint(i, random_atom(rng, names), ConstraintKind.ASSIGNMENT, _loc())
         for i in range(n_soft)
     ]
     return ConstraintSet.of(hard, soft)

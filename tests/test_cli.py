@@ -234,6 +234,17 @@ def test_malformed_in_binding_is_cut_in_the_error(capsys, binding, message):
     assert err.splitlines()[-1].endswith(message)
 
 
+def test_over_long_unknown_input_name_is_cut_in_the_error(capsys):
+    src = str(CORPUS / "absminus.src")
+    name = "k" * 5000
+    code, out, err = run_cli(capsys, "run", src, "--in", "i=0", "--in", "j=1", "--in", name + "=1")
+    assert code == 2
+    assert out == ""
+    assert len(err.encode("utf-8")) < 300
+    message = f"counterexample has unknown key(s): '{'k' * 20}'... (5000 characters)"
+    assert err.splitlines()[-1].endswith(message)
+
+
 def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
     bad = tmp_path / "result.src"
     bad.write_text(

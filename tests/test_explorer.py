@@ -11,8 +11,7 @@ from faultlines.explorer import (
     ExplorerConfig,
     NothingToLocalizeError,
     OverflowAbandonedError,
-    diagnose_deviation,
-    diagnose_initial,
+    diagnose,
     path_satisfies_post,
     propagate,
     run,
@@ -44,7 +43,7 @@ def absminus():
 
 
 def _collected_texts(trace):
-    return [str(c.formula) for c in trace.collected]
+    return [str(c.formula) for segment in trace.segments for c in segment]
 
 
 # --- propagate -------------------------------------------------------------------
@@ -177,7 +176,6 @@ def test_resumed_trace_equals_propagate_from_entry():
                     seen += 1
                     want = propagate(g, ce, flips2, dom)
                     assert got.decisions == want.decisions, (name, flips2)
-                    assert got.collected == want.collected, (name, flips2)
                     assert got.segments == want.segments, (name, flips2)
                     assert got.final_model == want.final_model, (name, flips2)
                     assert [x.node for x in got.snapshots] == [x.node for x in want.snapshots]
@@ -194,13 +192,13 @@ def test_path_satisfies_post_identity():
     assert path_satisfies_post(trace, g)
 
 
-# --- diagnose_initial ---------------------------------------------------------------
+# --- diagnose: the initial path ------------------------------------------------------
 
 
 def test_diagnose_initial_absminus():
     fn, g, ce, config = absminus()
     trace = propagate(g, ce)
-    diag = diagnose_initial(trace, g, ce, config)
+    diag = diagnose(trace, g, ce, config)
     assert diag.kind == "initial_path"
     assert diag.deviated == ()
     assert [m.ids for m in diag.mcs.mcs_list] == [frozenset({4})]
@@ -215,7 +213,7 @@ def test_diagnose_initial_constant_return():
     )
     ce = ce_for(fn, {"x": 3})
     trace = propagate(g, ce)
-    diag = diagnose_initial(trace, g, ce, ExplorerConfig())
+    diag = diagnose(trace, g, ce, ExplorerConfig())
     assert [str(m) for m in diag.mcs.mcs_list] == ["{r_0 = 5 @ line 1}"]
 
 
@@ -232,7 +230,7 @@ int f (int a) {
     ce = ce_for(fn, {"a": 0})
     trace = propagate(g, ce)
     config = ExplorerConfig(mcs=McsConfig(b_mcs=5, k_max=2))
-    diag = diagnose_initial(trace, g, ce, config)
+    diag = diagnose(trace, g, ce, config)
     got = {frozenset(str(c.formula) for c in m.members) for m in diag.mcs.mcs_list}
     assert got == {frozenset({"r_0 = x_0"}), frozenset({"x_0 = 1"})}
     # brute-force subset oracle agrees on the id sets
@@ -242,13 +240,13 @@ int f (int a) {
     assert str(diag.mcs.mcs_list[0].members[0].formula) == "r_0 = x_0"
 
 
-# --- diagnose_deviation ----------------------------------------------------------------
+# --- diagnose: a corrected deviation --------------------------------------------------
 
 
 def test_diagnose_deviation_absminus():
     fn, g, ce, config = absminus()
     trace = propagate(g, ce, {"d11"})
-    diag = diagnose_deviation(trace, g, ce, config)
+    diag = diagnose(trace, g, ce, config)
     assert diag.kind == "deviation_corrects"
     assert [(d.node, d.loc.line) for d in diag.deviated] == [("d11", 11)]
     assert len(diag.mcs.mcs_list) == 1
@@ -261,7 +259,7 @@ def test_diagnose_deviation_with_larger_budget_adds_initializer():
     fn, g, ce, _ = absminus()
     trace = propagate(g, ce, {"d11"})
     config = ExplorerConfig(mcs=McsConfig(b_mcs=2, k_max=2))
-    diag = diagnose_deviation(trace, g, ce, config)
+    diag = diagnose(trace, g, ce, config)
     texts = [frozenset(str(c.formula) for c in m.members) for m in diag.mcs.mcs_list]
     assert texts == [frozenset({"k_1 = k_0 + 2"}), frozenset({"k_0 = 0"})]
     assert diag.mcs.mcs_list[1].members[0].loc.line == 8
@@ -275,7 +273,7 @@ def test_diagnose_deviation_guard_on_inputs_only():
     ce = ce_for(fn, ce_map)
     trace = propagate(g, ce, {"d7"})
     assert path_satisfies_post(trace, g)
-    diag = diagnose_deviation(trace, g, ce, config_from_args(entry["args"]))
+    diag = diagnose(trace, g, ce, config_from_args(entry["args"]))
     assert diag.mcs.flag == HARD_UNSAT
     assert diag.mcs.mcs_list == ()
     assert [(d.node, d.loc.line) for d in diag.deviated] == [("d7", 7)]

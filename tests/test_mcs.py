@@ -29,8 +29,8 @@ def const(v):
     return LinTerm.constant(v)
 
 
-def _c(cid, formula, kind, line=1, pi=None):
-    return Constraint(cid, formula, kind, SourceLoc(line, 1), path_index=cid if pi is None else pi)
+def _c(cid, formula, kind, line=1):
+    return Constraint(cid, formula, kind, SourceLoc(line, 1))
 
 
 def absminus_postcondition():
@@ -176,9 +176,9 @@ def test_results_sorted_by_cardinality_then_latest_first():
     # so both MCSs have size 2 and only the tie-break orders them
     hard = [_c(100, Atom("==", var(x), const(0)), ConstraintKind.INPUT)]
     soft = [
-        _c(0, Atom("==", var(x), const(1)), ConstraintKind.ASSIGNMENT, pi=0),
-        _c(1, Atom("==", var(y), const(1)), ConstraintKind.ASSIGNMENT, pi=1),
-        _c(2, Atom("==", var(y), const(2)), ConstraintKind.ASSIGNMENT, pi=2),
+        _c(0, Atom("==", var(x), const(1)), ConstraintKind.ASSIGNMENT),
+        _c(1, Atom("==", var(y), const(1)), ConstraintKind.ASSIGNMENT),
+        _c(2, Atom("==", var(y), const(2)), ConstraintKind.ASSIGNMENT),
     ]
     cs = ConstraintSet.of(hard, soft)
     result = enumerate_mcs(cs, McsConfig(b_mcs=10, k_max=3), DomainConfig(-4, 4))
@@ -191,6 +191,21 @@ def test_results_sorted_by_cardinality_then_latest_first():
     # latest-on-path first: {0,2} carries the later member
     assert result.mcs_list[0].ids == frozenset({0, 2})
     assert_mcs_properties(cs, result, DomainConfig(-4, 4))
+
+
+def test_equal_size_mcs_come_latest_in_soft_list_first():
+    x, y = SsaName("x", 0), SsaName("y", 0)
+    hard = [_c(100, Atom("==", var(x), const(0)), ConstraintKind.INPUT)]
+    soft = [
+        _c(0, Atom("==", var(y), const(1)), ConstraintKind.ASSIGNMENT),
+        _c(1, Atom("==", var(x), var(y)), ConstraintKind.ASSIGNMENT),
+    ]
+    cs = ConstraintSet.of(hard, soft)
+    dom = DomainConfig(-8, 8)
+    result = enumerate_mcs(cs, McsConfig(b_mcs=3, k_max=1), dom)
+    assert [m.ids for m in result.mcs_list] == [frozenset({1}), frozenset({0})]
+    result = enumerate_mcs(cs, McsConfig(b_mcs=1, k_max=1), dom)
+    assert [m.ids for m in result.mcs_list] == [frozenset({1})]
 
 
 def test_b_mcs_truncates():

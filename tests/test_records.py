@@ -81,8 +81,6 @@ def test_constraint_set_rejects_misplaced_kinds_and_duplicate_ids():
         ConstraintSet((), (soft, soft))
     cs = ConstraintSet.of([guard], [soft])
     assert (cs.hard, cs.soft) == ((guard,), (soft,))
-    assert soft.at_path_index(4).path_index == 4 and soft.path_index == -1
-    assert soft.at_path_index(4) == Constraint(0, soft.formula, soft.kind, AT, 4)
 
 
 # --- AST and source locations -----------------------------------------------------

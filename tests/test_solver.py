@@ -34,7 +34,7 @@ def eq(a, b):
 
 
 def soft(cid, formula):
-    return Constraint(cid, formula, ConstraintKind.ASSIGNMENT, LOC, path_index=cid)
+    return Constraint(cid, formula, ConstraintKind.ASSIGNMENT, LOC)
 
 
 # --- construction -------------------------------------------------------------
