@@ -330,6 +330,35 @@ def test_precondition_violating_ce_exits_3(tmp_path, capsys):
     assert "precondition" in err
 
 
+TRITYPE = ROOT / "perfbench" / "tritype" / "tritype.src"
+NOT_PRE = "error: counterexample violates the precondition\n"
+NOT_POST = "error: counterexample does not violate the postcondition\n"
+
+
+@pytest.mark.parametrize(
+    "program, inputs, flags, code, err, dot_written",
+    [
+        # Tritype requires i >= 0 && j >= 0 && k >= 0
+        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), (), 3, NOT_PRE, False,
+                     id="violates-requires"),
+        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), ("--domain=0:3",), 3, NOT_PRE, False,
+                     id="violates-requires-outside-domain"),
+        # AbsMinus(5, 3) returns 2 = |5-3|: the postcondition holds
+        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), ("--domain=0:3",), 3, NOT_POST,
+                     False, id="satisfies-ensures-outside-domain"),
+        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), (), 3, NOT_POST, False,
+                     id="satisfies-ensures"),
+    ],
+)
+def test_not_a_counterexample_is_pinned(tmp_path, capsys, program, inputs, flags, code, err,
+                                        dot_written):
+    dot = tmp_path / "graph.dot"
+    args = ["run", str(program), *(a for i in inputs for a in ("--in", i)), *flags]
+    got = run_cli(capsys, *args, "--dot", str(dot))
+    assert got == (code, "", err)
+    assert dot.exists() == dot_written
+
+
 def test_domain_overflow_on_initial_path_is_usage_error(capsys):
     # TwicePlusOne(1) returns y + 3 = 5, outside [0, 3]
     code, out, err = run_cli(
