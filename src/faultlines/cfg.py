@@ -18,8 +18,8 @@ Each expression is lowered to a linear formula over versioned names as it
 is renamed (:func:`~faultlines.formulas.linterm_from_expr`), so the graph
 holds no syntax trees: an assignment carries its right-hand side as a
 :class:`~faultlines.formulas.LinTerm` over earlier versions together with
-its soft constraint `target = rhs`, and decision guards and the
-postcondition are :class:`~faultlines.formulas.Formula` values.
+its soft constraint `target = rhs`, and decision guards and the pre-
+and postcondition are :class:`~faultlines.formulas.Formula` values.
 
 A bare-variable `return x` binds the specification's result directly to
 x's final version.  Any other returned expression becomes an ordinary
@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .formulas import (
+    TRUE,
     Constraint,
     Formula,
     LinTerm,
@@ -85,15 +86,18 @@ class Decision:
 
 class Cfg:
     __slots__ = ("name", "param_locs", "nodes", "edges", "entry", "exit", "decision_order",
-                 "result_var", "ensures_loc", "postcondition")
+                 "result_var", "ensures_loc", "precondition", "postcondition", "id_base")
 
     def __init__(self, name, param_locs, nodes, edges, entry, exit, decision_order,
-                 result_var, ensures_loc, postcondition):
-        # edges: id -> list[(label, dst)]; postcondition: \result is the final result version
+                 result_var, ensures_loc, precondition, postcondition, id_base):
+        # edges: id -> list[(label, dst)]; precondition: over version-0 names, TRUE
+        # without `requires`; postcondition: \result is the final result version;
+        # id_base: the first constraint id after the assignments' cids
         self.name, self.param_locs, self.nodes, self.edges = name, param_locs, nodes, edges
         self.entry, self.exit, self.decision_order = entry, exit, decision_order
         self.result_var, self.ensures_loc = result_var, ensures_loc
-        self.postcondition = postcondition
+        self.precondition, self.postcondition = precondition, postcondition
+        self.id_base = id_base
 
     def successors(self, nid: str) -> list:
         return self.edges.get(nid, [])
@@ -196,7 +200,8 @@ class _Builder:
                 pending.append(self.assign(env, s.target, s.rhs, s.loc))
             elif isinstance(s, If):
                 attach = flush(attach)
-                d = self.new_decision(bool_expr_to_formula(s.cond, _current(env)), s.loc)
+                guard = bool_expr_to_formula(s.cond, _current(env), guard=True)
+                d = self.new_decision(guard, s.loc)
                 self.link(attach[0], attach[1], d)
                 env_t, env_e = dict(env), dict(env)
                 t_at = self.seq(s.then_body, (d, THEN), env_t)
@@ -254,8 +259,9 @@ class _Builder:
 def build_cfg(fn: Function) -> Cfg:
     """Lower a typechecked function to its control-flow graph in DSA form.
 
-    `\\result` and `==>` lower only in the postcondition; anywhere else
-    (which typechecking rules out) they raise TypeError.
+    `\\result` lowers only in the postcondition and `==>` only in the
+    annotations; anywhere else (which typechecking rules out) they raise
+    TypeError.
     """
     b = _Builder()
     entry = b.add(Entry("entry"))
@@ -276,7 +282,9 @@ def build_cfg(fn: Function) -> Cfg:
         decision_order=tuple(b.decision_order),
         result_var=b.result_var,
         ensures_loc=fn.ensures_loc,
+        precondition=bool_expr_to_formula(fn.precondition, _version0) if fn.precondition else TRUE,
         postcondition=bool_expr_to_formula(fn.postcondition, _version0, result_name),
+        id_base=b.cid,
     )
 
 

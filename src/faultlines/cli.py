@@ -10,9 +10,11 @@ taken for an option.
 
 Exit codes: 0 report produced; 1 file/parse/typecheck failure, or a
 program nested too deeply to analyse (diagnostics on stderr); 2 usage
-error, including a failing run whose inputs or computed values leave the
-`--domain` box; 3 the counterexample does not violate the postcondition
-(nothing to localize).
+error, including a run whose inputs or computed values leave the
+`--domain` box; 3 not a counterexample, as `explorer.run` decides: the
+inputs violate `requires` (checked before the box), or their path
+satisfies `ensures`.  `--dot` writes its file before localization, so
+also on exits 2 and 3.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .explorer import (
     OverflowAbandonedError,
     run,
 )
-from .frontend import FrontendError, interpret, parse_program, typecheck
+from .frontend import FrontendError, parse_program, typecheck
 from .mcs import McsConfig
 from .records import shown
 from .report import render_json, render_text
@@ -206,14 +208,6 @@ def main(argv=None) -> int:
     except ExplorerError as e:
         parser.error(str(e))
 
-    outcome = interpret(fn, ce.as_dict())
-    if not outcome.precondition_holds:
-        print("error: counterexample violates the precondition", file=sys.stderr)
-        return EXIT_NOT_A_COUNTEREXAMPLE
-    if outcome.postcondition_holds:
-        print("error: counterexample does not violate the postcondition", file=sys.stderr)
-        return EXIT_NOT_A_COUNTEREXAMPLE
-
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -224,8 +218,8 @@ def main(argv=None) -> int:
 
     try:
         report = run(graph, ce, _explorer_config(args), incremental=not args.no_incremental)
-    except NothingToLocalizeError:
-        print("error: counterexample does not violate the postcondition", file=sys.stderr)
+    except NothingToLocalizeError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_A_COUNTEREXAMPLE
     except OverflowAbandonedError as e:
         print(f"error: {e}; widen --domain", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 Given a DSA-form graph and a failing input, the runner
 
-1. propagates the counterexample to the exit, collecting the assignment
+1. refuses an input that violates the precondition or whose path
+   satisfies the postcondition: it is not a counterexample;
+2. propagates the counterexample to the exit, collecting the assignment
    constraints of the induced path, and diagnoses that path by MCS
    enumeration (inputs and postcondition hard, assignments soft);
-2. flips up to `b_cond` decisions, level by level in lexicographic
+3. flips up to `b_cond` decisions, level by level in lexicographic
    order over the decision order.  A flip set is only extended by a
    decision its own path reaches after its last flip, and that
    execution resumes at the new flip from a snapshot taken there.  The
@@ -22,7 +24,7 @@ Given a DSA-form graph and a failing input, the runner
    yields a diagnosis: the flipped conditions themselves, plus the MCSs
    of the constraints collected before the last flip conjoined with the
    guard value that forces the flipped branch;
-3. assembles a deterministic report (diagnoses ordered by deviation
+4. assembles a deterministic report (diagnoses ordered by deviation
    count, then discovery; statistics include solver counters).
 
 MCS enumerations share one incremental solver: input equalities sit in
@@ -67,7 +69,7 @@ class ExplorerError(Exception):
 
 
 class NothingToLocalizeError(ExplorerError):
-    """The counterexample does not violate the postcondition."""
+    """The input violates the precondition or satisfies the postcondition."""
 
 
 class DeviationUnreachedError(ExplorerError):
@@ -102,9 +104,6 @@ class Counterexample(NamedTuple):
                 f"counterexample has unknown key(s): {', '.join(map(shown, extra))}"
             )
         return Counterexample(tuple((p, int(mapping[p])) for p in params))
-
-    def as_dict(self) -> dict:
-        return dict(self.items)
 
 
 @validated
@@ -202,18 +201,12 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _id_base(cfg: Cfg) -> int:
-    """The first id after the assignments' cids, which count up from 0."""
-    return sum(len(n.assignments) for n in cfg.nodes.values() if isinstance(n, Block))
-
-
 def input_constraints(cfg: Cfg, ce: Counterexample) -> tuple:
-    base = _id_base(cfg)
     out = []
     for i, (name, value) in enumerate(ce.items):
         out.append(
             Constraint(
-                base + i,
+                cfg.id_base + i,
                 Atom("==", LinTerm.var(SsaName(name, 0)), LinTerm.constant(value)),
                 ConstraintKind.INPUT,
                 cfg.param_locs[name],
@@ -224,7 +217,7 @@ def input_constraints(cfg: Cfg, ce: Counterexample) -> tuple:
 
 def postcondition_constraint(cfg: Cfg, ce: Counterexample) -> Constraint:
     return Constraint(
-        _id_base(cfg) + len(ce.items),
+        cfg.id_base + len(ce.items),
         cfg.postcondition,
         ConstraintKind.POSTCONDITION,
         cfg.ensures_loc,
@@ -410,12 +403,11 @@ def diagnose(
     the postcondition; a corrected deviated trace over the path before
     its last flip, against the guard value that forces that flip.
     """
-    inputs = input_constraints(cfg, ce)
-    backend = backend or _Backend(config.dom, inputs)
+    backend = backend or _Backend(config.dom, input_constraints(cfg, ce))
     flips = [i for i, s in enumerate(trace.decisions) if s.deviated]
     if flips:
         kind, last = DEVIATION_CORRECTS, flips[-1]
-        cid = _id_base(cfg) + len(ce.items) + 1 + last
+        cid = cfg.id_base + len(ce.items) + 1 + last
         extra = _deviation_requirement(cfg, trace.decisions[last], cid)
     else:
         kind, last = INITIAL_PATH, len(trace.decisions)
@@ -423,7 +415,7 @@ def diagnose(
     keys = tuple((s.node, s.taken) for s in trace.decisions[:last])
     segments = trace.segments[: last + 1]
     result = backend.enumerate_for(keys, segments, (extra,), config.mcs)
-    cs = ConstraintSet.of(inputs + (extra,), [c for seg in segments for c in seg])
+    cs = ConstraintSet.of(backend.inputs + (extra,), [c for seg in segments for c in seg])
     return Diagnosis(kind, _deviated_conditions(cfg, trace), result, trace.decisions, cs)
 
 
@@ -451,6 +443,8 @@ def run(
     incremental: bool = True,
 ) -> Report:
     """Full localization run; see the module docstring for the algorithm."""
+    if not eval_formula(cfg.precondition, {SsaName(name, 0): v for name, v in ce.items}):
+        raise NothingToLocalizeError("counterexample violates the precondition")
     trace0 = propagate(cfg, ce, (), config.dom)
     if path_satisfies_post(trace0, cfg):
         raise NothingToLocalizeError("counterexample does not violate the postcondition")

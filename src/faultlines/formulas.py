@@ -270,20 +270,21 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None) -> Formula:
+def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None, *,
+                         guard: bool = False) -> Formula:
     """Lower a condition, its operands as :func:`linterm_from_expr` does.
 
     The result is in negation normal form: `!b` lowers to the
-    :func:`negate` of `b`, and `a ==> b` to `Or(negate(a), b)`.  Like
-    `\\result`, `==>` lowers only when `result` is given, i.e. in the
-    postcondition.
+    :func:`negate` of `b`, and `a ==> b` to `Or(negate(a), b)`.  `==>`
+    lowers only in annotations, so a `guard` (an `if` condition) refuses
+    it.
     """
 
     def form(b: BoolExpr) -> Formula:
         if isinstance(b, Cmp):
             return Atom(b.op, linterm_from_expr(b.lhs, var, result),
                         linterm_from_expr(b.rhs, var, result))
-        if isinstance(b, Logic) and (b.op != "==>" or result is not None):
+        if isinstance(b, Logic) and not (guard and b.op == "==>"):
             lhs, rhs = form(b.lhs), form(b.rhs)
             if b.op == "&&":
                 return And((lhs, rhs))

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
-from .records import Node
+from .records import Node, shown
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -232,8 +232,7 @@ def _tokenize(src: str) -> list[Token]:
             # `int` refuses over 4,300 digits: compare lengths first (INT64_MAX has 19)
             digits = text.lstrip("0")
             if len(digits) > 19 or int(digits or "0") > INT64_MAX:
-                shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} digits)"
-                raise ParseError(f"integer literal out of 64-bit range: {shown}", loc(pos))
+                raise ParseError(f"integer literal out of 64-bit range: {shown(text)}", loc(pos))
         elif kind == "annot_close":
             if not in_annot:
                 # outside an annotation this is `*`, and the `/` is lexed anew
@@ -291,8 +290,7 @@ class _Parser:
     def expect(self, kind: str, what: str = "") -> Token:
         t = self.peek()
         if t.kind != kind:
-            shown = t.text or t.kind
-            raise ParseError(f"expected {what or kind!r}, found {shown!r}", t.loc)
+            raise ParseError(f"expected {what or kind!r}, found {shown(t.text or t.kind)}", t.loc)
         return self.next()
 
     # -- grammar ------------------------------------------------------------

@@ -233,6 +233,8 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
     )
 
     config = config or ExplorerConfig()
+    if not eval_formula(cfg.precondition, {SsaName(name, 0): v for name, v in ce.items}):
+        raise NothingToLocalizeError("counterexample violates the precondition")
     trace0 = propagate(cfg, ce, (), config.dom)
     if path_satisfies_post(trace0, cfg):
         raise NothingToLocalizeError("counterexample does not violate the postcondition")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,15 @@ from faultlines.cfg import (
     THEN,
     build_cfg,
     enumerate_paths,
+    iter_assignments,
     render_dot,
 )
 from faultlines.explorer import Counterexample, propagate
-from faultlines.formulas import SsaName
+from faultlines.formulas import TRUE, SsaName, eval_formula
 from faultlines.frontend import interpret, parse_program
 from faultlines.solver import DomainConfig
 
-from helpers import CORPUS, compile_source, corpus_entry, corpus_manifest, random_program
+from helpers import CORPUS, ROOT, compile_source, corpus_entry, corpus_manifest, random_program
 
 WIDE = DomainConfig(-(2**40), 2**40)
 
@@ -279,12 +282,48 @@ def test_build_requires_return():
 
 def test_build_refuses_implies_in_if_condition():
     # build_cfg takes a typechecked function; this one is not, and '==>'
-    # lowers only in the postcondition
+    # lowers only in the annotations
     fn = parse_program(
         "/*@ ensures \\result == x; */ int f (int x) { if (x > 0 ==> x > 1) { x = 1; } return x; }"
     )
     with pytest.raises(TypeError, match="==>"):
         build_cfg(fn)
+
+
+def test_precondition_lowers_as_interpreted():
+    fn, g = compile_source((ROOT / "perfbench" / "tritype" / "tritype.src").read_text())
+    for i, j, k in product(range(-2, 3), repeat=3):
+        model = {SsaName("i", 0): i, SsaName("j", 0): j, SsaName("k", 0): k}
+        expected = interpret(fn, {"i": i, "j": j, "k": k}).precondition_holds
+        assert eval_formula(g.precondition, model) == expected, (i, j, k)
+
+
+def test_precondition_lowers_implies_and_defaults_to_true():
+    _, g = compile_source(
+        "/*@ requires x > 0 ==> y > 0; ensures \\result == x; */ int f (int x, int y) { return x; }"
+    )
+    assert str(g.precondition) == "x_0 <= 0 || y_0 > 0"
+    _, g = compile_source(corpus_entry("absminus")[0])
+    assert g.precondition == TRUE
+
+
+def test_build_refuses_result_in_requires():
+    # not typechecked: `\result` lowers only in the postcondition
+    fn = parse_program(
+        "/*@ requires \\result > 0; ensures \\result == x; */ int f (int x) { return x; }"
+    )
+    with pytest.raises(TypeError, match="ResultRef"):
+        build_cfg(fn)
+
+
+def test_id_base_follows_the_assignment_ids():
+    # assignments are numbered 0 .. id_base - 1; inputs and guards come after
+    rng = np.random.default_rng(11)
+    texts = [corpus_entry(name)[0] for name in corpus_manifest()]
+    texts += [random_program(rng, max_params=3, max_depth=2) for _ in range(20)]
+    for text in texts:
+        _, g = compile_source(text)
+        assert [a.cid for a in iter_assignments(g)] == list(range(g.id_base))
 
 
 def test_branch_local_declaration_stays_local():

@@ -191,7 +191,7 @@ def test_over_long_literal_exits_1(tmp_path, capsys):
     assert out == ""
     assert err == (
         "error: line 2:24: integer literal out of 64-bit range: "
-        f"{digits[:20]}... (5000 digits)\n"
+        f"{digits[:20]!r}... (5000 characters)\n"
     )
 
 
@@ -338,15 +338,17 @@ NOT_POST = "error: counterexample does not violate the postcondition\n"
 @pytest.mark.parametrize(
     "program, inputs, flags, code, err, dot_written",
     [
-        # Tritype requires i >= 0 && j >= 0 && k >= 0
-        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), (), 3, NOT_PRE, False,
+        # Tritype requires i >= 0 && j >= 0 && k >= 0, checked before the domain box
+        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), (), 3, NOT_PRE, True,
                      id="violates-requires"),
-        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), ("--domain=0:3",), 3, NOT_PRE, False,
+        pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), ("--domain=0:3",), 3, NOT_PRE, True,
                      id="violates-requires-outside-domain"),
-        # AbsMinus(5, 3) returns 2 = |5-3|: the postcondition holds
-        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), ("--domain=0:3",), 3, NOT_POST,
-                     False, id="satisfies-ensures-outside-domain"),
-        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), (), 3, NOT_POST, False,
+        # AbsMinus(5, 3) returns 2 = |5-3|: the postcondition holds, but only a
+        # path inside the domain box is followed to the postcondition
+        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), ("--domain=0:3",), 2,
+                     "error: i = 5 escapes the domain box [0, 3]; widen --domain\n", True,
+                     id="satisfies-ensures-outside-domain"),
+        pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), (), 3, NOT_POST, True,
                      id="satisfies-ensures"),
     ],
 )

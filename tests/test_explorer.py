@@ -320,6 +320,13 @@ def test_run_rejects_non_counterexample():
         run(g, ce, config)
 
 
+def test_run_refuses_input_violating_requires():
+    # Tritype requires i >= 0 && j >= 0 && k >= 0
+    fn, g = compile_source((ROOT / "perfbench" / "tritype" / "tritype.src").read_text())
+    with pytest.raises(NothingToLocalizeError, match="violates the precondition"):
+        run(g, ce_for(fn, {"i": -1, "j": 1, "k": 1}))
+
+
 THREE_IFS_BODY = """\
 int ThreeBits (int a, int b, int c) {{
   int u = 0;

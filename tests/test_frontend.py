@@ -252,10 +252,10 @@ MALFORMED = [
     ("int x; @", ParseError, "unexpected character '@'", 1, 8),
     ("/*@ ensures @ x; */", ParseError, "unexpected character '@'", 1, 13),
     ("return 9223372036854775808;", ParseError,
-     "integer literal out of 64-bit range: 9223372036854775808", 1, 8),
+     "integer literal out of 64-bit range: '9223372036854775808'", 1, 8),
     # longer than Python's 4,300-digit limit for `int`
     pytest.param("return " + "1" * 5000 + ";", ParseError,
-                 "integer literal out of 64-bit range: " + "1" * 20 + "... (5000 digits)", 1, 8,
+                 f"integer literal out of 64-bit range: {'1' * 20!r}... (5000 characters)", 1, 8,
                  id="5000-digit-literal"),
     ("/*@ ensures x == 0; // c\n */", UnsupportedConstructError,
      "unsupported construct: operator '/'", 1, 21),
