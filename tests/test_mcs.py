@@ -11,10 +11,10 @@ from faultlines.formulas import (
     SsaName,
 )
 from faultlines.frontend import SourceLoc
-from faultlines.mcs import ALREADY_SAT, HARD_UNSAT, McsConfig, enumerate_mcs
+from faultlines.mcs import ALREADY_SAT, HARD_UNSAT, OK, McsConfig, enumerate_mcs
 from faultlines.solver import DomainConfig
 
-from helpers import assert_mcs_properties, bruteforce_mcs, random_system
+from helpers import assert_mcs_properties, bruteforce_mcs, exhaustive_sat, random_system
 
 I0, J0 = SsaName("i", 0), SsaName("j", 0)
 K0, K1 = SsaName("k", 0), SsaName("k", 1)
@@ -165,6 +165,29 @@ def test_hard_unsat_flag():
     result = enumerate_mcs(ConstraintSet.of(hard, soft))
     assert result.flag == HARD_UNSAT
     assert len(result) == 0
+
+
+def test_flag_matches_exhaustive_satisfiability_random_systems():
+    # the MCS oracle returns set() for all three outcomes, so the flag's
+    # precedence is checked on its own: hard_unsat before already_sat
+    rng = np.random.default_rng(17)
+    dom = DomainConfig(-4, 4)
+    seen = set()
+    for _ in range(120):
+        cs = random_system(rng, max_vars=3, max_soft=6, max_hard=3)
+        hard = [c.formula for c in cs.hard]
+        if exhaustive_sat(hard, dom) is None:
+            expected = HARD_UNSAT
+        elif exhaustive_sat(hard + [c.formula for c in cs.soft], dom) is not None:
+            expected = ALREADY_SAT
+        else:
+            expected = OK
+        result = enumerate_mcs(cs, McsConfig(b_mcs=2, k_max=1), dom)
+        assert result.flag == expected
+        if expected != OK:
+            assert len(result) == 0
+        seen.add(expected)
+    assert seen == {OK, ALREADY_SAT, HARD_UNSAT}
 
 
 # --- ordering and bounds ---------------------------------------------------------
