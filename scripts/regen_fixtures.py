@@ -5,7 +5,9 @@ Each corpus program gets its JSON report and its DSA graph in DOT form;
 absminus also gets its text report.
 
 Run after an intentional change to report content or solver internals,
-then review the diff before committing.
+then review the diff before committing.  For each JSON report the script
+says whether it changed outside its `statistics` object, so a change that
+should move only solver counters shows at a glance whether it did.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ from faultlines.frontend import parse_program  # noqa: E402
 from faultlines.report import render_json, render_text  # noqa: E402
 
 
+def _json_change(old, new: bytes) -> str:
+    if old is None:
+        return "new"
+    if old == new:
+        return "unchanged"
+    before, after = json.loads(old), json.loads(new)
+    before.pop("statistics", None)
+    after.pop("statistics", None)
+    return "statistics only" if before == after else "CHANGED OUTSIDE statistics"
+
+
 def main() -> None:
     corpus = ROOT / "corpus"
     expected = corpus / "expected"
@@ -37,10 +50,12 @@ def main() -> None:
         graph = build_cfg(fn)
         (expected / f"{name}.dot").write_text(render_dot(graph))
         report = run(graph, ce, config_from_args(entry["args"]))
-        (expected / f"{name}.json").write_bytes(render_json(report))
+        golden = expected / f"{name}.json"
+        old = golden.read_bytes() if golden.exists() else None
+        golden.write_bytes(render_json(report))
         if name == "absminus":
             (expected / f"{name}.txt").write_text(render_text(report))
-        print(f"wrote fixtures for {name}")
+        print(f"wrote fixtures for {name}: {golden.name} {_json_change(old, golden.read_bytes())}")
 
 
 if __name__ == "__main__":
