@@ -2,16 +2,19 @@
 
 A correction set is a set of soft constraints whose removal makes the
 hard constraints plus the remaining soft ones satisfiable; an MCS is an
-irreducible one.  Enumeration attaches a selector to every soft
-constraint, then for growing cardinality k asserts "at most k selectors
-disabled" and repeatedly asks the solver for models: each model's
-disabled set is a new MCS (smaller MCSs were exhausted at earlier k, and
-a blocking clause per found MCS keeps at least one of its members
-enabled, excluding duplicates and supersets).  Each cardinality level is
-exhausted before results are ordered and the `b_mcs` cut is applied, so
-the documented tie-break is independent of solver search order: it
-compares the members' positions in the selector list, which follows the
-path, latest first.
+irreducible one.  Every condition on the soft constraints' 0/1
+selectors is a hard formula over their sum `enabled`.  Enumeration checks
+the hard constraints alone (`enabled == 0`), then for k = 0, 1, ...
+asserts "at most k disabled" (`enabled >= n - k`) and repeatedly asks the
+solver for models.  Level 0 is the satisfiability check: a model there
+means nothing to correct.  At k >= 1 each model's disabled set is a new
+MCS (smaller MCSs were exhausted at earlier k, and a blocking clause per
+found MCS keeps at least one of its members enabled, excluding
+duplicates and supersets).  Each cardinality level is exhausted before
+results are ordered and the `b_mcs` cut is applied, so the documented
+tie-break is independent of solver search order: it compares the
+members' positions in the selector list, which follows the path, latest
+first.
 """
 
 from __future__ import annotations
@@ -83,18 +86,10 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
     stack is preserved.
     """
     position = {sel.id: i for i, sel in enumerate(sels)}
+    enabled = LinTerm.of((sel.var, 1) for sel in sels)
 
     fid = solver.push()
-    for sel in sels:
-        solver.pin_selector(sel, True)
-    all_on = solver.check()
-    solver.pop(fid)
-    if all_on is not UNSAT:
-        return McsResult((), ALREADY_SAT)
-
-    fid = solver.push()
-    for sel in sels:
-        solver.pin_selector(sel, False)
+    solver.assert_hard(Atom("==", enabled, LinTerm.constant(0)))
     hard_only = solver.check()
     solver.pop(fid)
     if hard_only is UNSAT:
@@ -102,9 +97,9 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
 
     found: list[Mcs] = []
     blocks: list = []
-    for k in range(1, min(config.k_max, len(sels)) + 1):
+    for k in range(min(config.k_max, len(sels)) + 1):
         fid = solver.push()
-        solver.assert_at_most_disabled(sels, k)
+        solver.assert_hard(Atom(">=", enabled, LinTerm.constant(len(sels) - k)))
         for b in blocks:
             solver.assert_hard(b)
         level: list = []  # each MCS as its members' positions, latest first
@@ -112,6 +107,9 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
             r = solver.check()
             if r is UNSAT:
                 break
+            if k == 0:  # hard plus every soft constraint holds
+                solver.pop(fid)
+                return McsResult((), ALREADY_SAT)
             level.append(sorted((position[i] for i in r.disabled), reverse=True))
             block = disj(
                 Atom("==", LinTerm.var(sel.var), LinTerm.constant(1))

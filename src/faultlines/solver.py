@@ -17,9 +17,9 @@ the selector.
 Incrementality: assertions live on a frame stack.  :meth:`Solver.push`
 opens a frame and :meth:`Solver.pop` restores the exact pre-push state
 (domains, constraints, selectors, registered variables); statistics only
-ever grow.  Soft constraints are guarded by selector variables (0/1),
-and unfixed selectors are decision variables searched after the integer
-variables, so cardinality-bounded removal candidates fall out of models.
+ever grow.  Soft constraints are guarded by 0/1 selector variables, which
+callers constrain with ordinary formulas through :meth:`Solver.assert_hard`;
+unfixed selectors are decision variables searched after the integers.
 
 A Solver instance must be used from one thread at a time; independent
 instances are fully isolated.
@@ -194,46 +194,6 @@ class Solver:
         sel = Selector(c.id, sel_var, c)
         self.selectors.append(sel)
         return sel
-
-    def assert_at_most_disabled(self, selectors, k: int) -> None:
-        """Bound how many of the given selectors a model may disable."""
-        if k < 0:
-            raise SolverUsageError("cardinality bound must be >= 0")
-        self.stats["assertions"] += 1
-        idxs = tuple(self._register(s.var) for s in selectors)
-        n = len(idxs)
-        # at most k disabled == at least n-k enabled == -(sum sel) + (n-k) <= 0
-        node = ("lin", "<=", idxs, (-1,) * n, n - k)
-        self._install(None, node, idxs)
-
-    def pin_selector(self, sel: Selector, enabled: bool) -> None:
-        """Force a selector for the current frame (undone by pop).
-
-        Implemented as an immediate, trail-recorded domain restriction, so
-        `selector_state` reflects the pin without a propagation pass.
-        """
-        self.stats["assertions"] += 1
-        idx = self._register(sel.var)
-        v = 1 if enabled else 0
-        if self.lo[idx] > v or self.hi[idx] < v:
-            # incompatible with an earlier pin: make the frame unsatisfiable
-            self._install(None, _FALSE, ())
-            return
-        # raw trail writes: no propagation queue exists outside check()
-        if self.lo[idx] < v:
-            self.trail.append((idx, False, self.lo[idx]))
-            self.lo[idx] = v
-        if self.hi[idx] > v:
-            self.trail.append((idx, True, self.hi[idx]))
-            self.hi[idx] = v
-
-    def selector_state(self, sel: Selector) -> str:
-        idx = self.ids[sel.var]
-        if self.lo[idx] == 1:
-            return "enabled"
-        if self.hi[idx] == 0:
-            return "disabled"
-        return "free"
 
     def _conjuncts(self, f: Formula):
         if isinstance(f, And):

@@ -124,22 +124,24 @@ def test_counterexample_pinning():
     assert r.model == {SsaName("i", 0): 0, SsaName("j", 0): 1}
 
 
+def enabled(*sels):
+    return LinTerm.of((sel.var, 1) for sel in sels)
+
+
 def test_soft_constraint_selector():
     s = Solver(SMALL)
     sel = s.assert_soft(soft(1, eq(var("k", 1), var("k", 0) + const(2))))
     assert sel.id == 1
-    assert s.selector_state(sel) == "free"
     fid = s.push()
-    s.pin_selector(sel, True)
-    assert s.selector_state(sel) == "enabled"
+    s.assert_hard(eq(enabled(sel), const(1)))
     r = s.check()
     assert r.model[SsaName("k", 1)] == r.model[SsaName("k", 0)] + 2
     assert r.disabled == frozenset()
     s.pop(fid)
-    assert s.selector_state(sel) == "free"
-    s.pin_selector(sel, False)
-    assert s.selector_state(sel) == "disabled"
-    s.pin_selector(sel, True)  # contradicting pin: frame becomes unsat
+    s.assert_hard(eq(enabled(sel), const(0)))
+    r = s.check()
+    assert r is not UNSAT and r.disabled == {1}
+    s.assert_hard(eq(enabled(sel), const(1)))  # contradicts the first: unsat
     assert s.check() is UNSAT
 
 
@@ -153,13 +155,17 @@ def test_disabled_soft_constraint_is_ignored():
     s = Solver(SMALL)
     s.assert_hard(eq(var("x"), const(1)))
     sel = s.assert_soft(soft(0, eq(var("x"), const(2))))
-    s.pin_selector(sel, False)
+    s.assert_hard(eq(enabled(sel), const(0)))
     r = s.check()
     assert r is not UNSAT
     assert r.disabled == {0}
 
 
-# --- cardinality over selectors ---------------------------------------------------
+# --- cardinality over selectors, as hard formulas ------------------------------------
+
+
+def at_most_disabled(sels, k):
+    return Atom(">=", enabled(*sels), const(len(sels) - k))
 
 
 def test_at_most_zero_enforces_all():
@@ -168,7 +174,7 @@ def test_at_most_zero_enforces_all():
         s.assert_soft(soft(0, eq(var("x"), const(1)))),
         s.assert_soft(soft(1, eq(var("y"), const(2)))),
     ]
-    s.assert_at_most_disabled(sels, 0)
+    s.assert_hard(at_most_disabled(sels, 0))
     r = s.check()
     assert r.disabled == frozenset()
     assert r.model[SsaName("x", 0)] == 1 and r.model[SsaName("y", 0)] == 2
@@ -180,7 +186,7 @@ def test_at_most_n_is_no_restriction():
         s.assert_soft(soft(0, eq(var("x"), const(1)))),
         s.assert_soft(soft(1, eq(var("x"), const(2)))),
     ]
-    s.assert_at_most_disabled(sels, len(sels))
+    s.assert_hard(at_most_disabled(sels, len(sels)))
     assert s.check() is not UNSAT
 
 
@@ -208,7 +214,7 @@ def test_deviation_set_disables_exactly_one_candidate():
     for h in hard:
         s.assert_hard(h)
     sels = [s.assert_soft(c) for c in softs]
-    s.assert_at_most_disabled(sels, 1)
+    s.assert_hard(at_most_disabled(sels, 1))
     seen = set()
     while True:
         r = s.check()
