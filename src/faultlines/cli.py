@@ -8,8 +8,9 @@
 `--domain` is joined to it before parsing, so a negative `LO` is not
 taken for an option.
 
-Exit codes: 0 report produced; 1 file/parse/typecheck failure, or a
-program nested too deeply to analyse (diagnostics on stderr); 2 usage
+Exit codes: 0 report produced; 1 file/parse/typecheck failure, a
+program nested too deeply to analyse, or one whose path is too long for
+the solver's search (diagnostics on stderr); 2 usage
 error, including a run whose inputs or computed values leave the
 `--domain` box; 3 not a counterexample, as `explorer.run` decides: the
 inputs violate `requires` (checked before the box), or their path
@@ -224,6 +225,10 @@ def main(argv=None) -> int:
     except OverflowAbandonedError as e:
         print(f"error: {e}; widen --domain", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # the solver's search recurses once per variable it decides
+        print("error: program path is too long for the solver's search", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     if args.format == "json":
         sys.stdout.buffer.write(render_json(report))

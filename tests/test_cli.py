@@ -284,6 +284,19 @@ def test_deep_program_exits_1(tmp_path, capsys, source):
     assert err == "error: program nests too deeply to analyse\n"
 
 
+def test_long_path_exits_1(tmp_path, capsys):
+    # the solver's search recurses once per decided variable: 1,200 versions
+    # of x go past the interpreter's recursion limit
+    body = "".join("  x = x + 1;\n" for _ in range(1200))
+    chain = tmp_path / "chain.src"
+    chain.write_text(
+        f"/*@ ensures \\result == x + 1201; */\nint f (int x) {{\n{body}  return x;\n}}\n"
+    )
+    got = run_cli(capsys, "run", str(chain), "--in", "x=1", "--bcond", "1", "--kmax", "1",
+                  "--bmcs", "3")
+    assert got == (1, "", "error: program path is too long for the solver's search\n")
+
+
 def test_nested_ifs_below_the_limit_run(tmp_path, capsys):
     src = tmp_path / "nested.src"
     src.write_text(_nested_ifs(300))
