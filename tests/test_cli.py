@@ -323,29 +323,11 @@ def test_implies_in_body_exits_1(tmp_path, capsys):
     assert "'==>' is only allowed in annotations" in err
 
 
-def test_non_violating_ce_exits_3(capsys):
-    # hand simulation: AbsMinus(5, 3) follows the i >= j branch and returns
-    # 5 - 3 = 2 = |5-3|, so the postcondition holds
-    code, _, err = run_cli(
-        capsys, "run", str(CORPUS / "absminus.src"), "--in", "i=5", "--in", "j=3"
-    )
-    assert code == 3
-    assert "does not violate" in err
-
-
-def test_precondition_violating_ce_exits_3(tmp_path, capsys):
-    src = tmp_path / "pre.src"
-    src.write_text(
-        "/*@ requires x > 0; ensures \\result == x + 1; */ int f (int x) { return x; }"
-    )
-    code, _, err = run_cli(capsys, "run", str(src), "--in", "x=-5")
-    assert code == 3
-    assert "precondition" in err
-
-
 TRITYPE = ROOT / "perfbench" / "tritype" / "tritype.src"
 NOT_PRE = "error: counterexample violates the precondition\n"
 NOT_POST = "error: counterexample does not violate the postcondition\n"
+# returns x: f(-5) breaks both annotations, and the precondition is checked first
+REQUIRES_ONLY = "/*@ requires x > 0; ensures \\result == x + 1; */ int f (int x) { return x; }"
 
 
 @pytest.mark.parametrize(
@@ -356,6 +338,8 @@ NOT_POST = "error: counterexample does not violate the postcondition\n"
                      id="violates-requires"),
         pytest.param(TRITYPE, ("i=-1", "j=1", "k=1"), ("--domain=0:3",), 3, NOT_PRE, True,
                      id="violates-requires-outside-domain"),
+        pytest.param(REQUIRES_ONLY, ("x=-5",), (), 3, NOT_PRE, True,
+                     id="violates-one-line-requires"),
         # AbsMinus(5, 3) returns 2 = |5-3|: the postcondition holds, but only a
         # path inside the domain box is followed to the postcondition
         pytest.param(CORPUS / "absminus.src", ("i=5", "j=3"), ("--domain=0:3",), 2,
@@ -367,6 +351,9 @@ NOT_POST = "error: counterexample does not violate the postcondition\n"
 )
 def test_not_a_counterexample_is_pinned(tmp_path, capsys, program, inputs, flags, code, err,
                                         dot_written):
+    if isinstance(program, str):  # source text rather than a file
+        (tmp_path / "program.src").write_text(program)
+        program = tmp_path / "program.src"
     dot = tmp_path / "graph.dot"
     args = ["run", str(program), *(a for i in inputs for a in ("--in", i)), *flags]
     got = run_cli(capsys, *args, "--dot", str(dot))
