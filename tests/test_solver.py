@@ -141,7 +141,7 @@ def test_soft_constraint_selector():
     s.assert_hard(eq(enabled(sel), const(0)))
     r = s.check()
     assert r is not UNSAT and r.disabled == {1}
-    s.assert_hard(eq(enabled(sel), const(1)))  # contradicts the first: unsat
+    s.assert_hard(eq(enabled(sel), const(1)))  # contradicts sel == 0: unsat
     assert s.check() is UNSAT
 
 
