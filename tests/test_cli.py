@@ -323,6 +323,16 @@ def test_implies_in_body_exits_1(tmp_path, capsys):
     assert "'==>' is only allowed in annotations" in err
 
 
+def test_non_violating_ce_exits_3(capsys):
+    # hand simulation: AbsMinus(5, 3) follows the i >= j branch and returns
+    # 5 - 3 = 2 = |5-3|, so the postcondition holds
+    code, _, err = run_cli(
+        capsys, "run", str(CORPUS / "absminus.src"), "--in", "i=5", "--in", "j=3"
+    )
+    assert code == 3
+    assert "does not violate" in err
+
+
 TRITYPE = ROOT / "perfbench" / "tritype" / "tritype.src"
 NOT_PRE = "error: counterexample violates the precondition\n"
 NOT_POST = "error: counterexample does not violate the postcondition\n"
