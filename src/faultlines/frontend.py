@@ -404,8 +404,7 @@ class _Parser:
             rhs = self.parse_expr()
             self.expect(";")
             return Assign(t.text, rhs, t.loc)
-        shown = t.text or t.kind
-        raise ParseError(f"expected statement, found {shown!r}", t.loc)
+        raise ParseError(f"expected statement, found {shown(t.text or t.kind)}", t.loc)
 
     def parse_branch(self) -> tuple:
         if self.accept("{"):
@@ -461,8 +460,9 @@ class _Parser:
         lhs = self.parse_expr()
         t = self.peek()
         if t.kind not in CMP_OPS:
-            shown = t.text or t.kind
-            raise ParseError(f"expected comparison operator, found {shown!r}", t.loc)
+            raise ParseError(
+                f"expected comparison operator, found {shown(t.text or t.kind)}", t.loc
+            )
         self.next()
         rhs = self.parse_expr()
         return Cmp(t.kind, lhs, rhs, t.loc)
@@ -506,8 +506,7 @@ class _Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        shown = t.text or t.kind
-        raise ParseError(f"expected expression, found {shown!r}", t.loc)
+        raise ParseError(f"expected expression, found {shown(t.text or t.kind)}", t.loc)
 
 
 def _walk_stmts(stmts) -> Iterator[Stmt]:

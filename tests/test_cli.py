@@ -195,6 +195,27 @@ def test_over_long_literal_exits_1(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "/*@ ensures x " + "z" * 5000 + "; */ int f(int x) { return x; }",
+            f"line 1:15: expected comparison operator, found '{'z' * 20}'... (5000 characters)",
+        ),
+        (
+            "/*@ ensures \\result == x; */ int f(int x) { " + "0" * 5000 + "1; return x; }",
+            f"line 1:45: expected statement, found '{'0' * 20}'... (5001 characters)",
+        ),
+    ],
+    ids=["comparison", "statement"],
+)
+def test_over_long_token_is_cut_in_the_parse_error(tmp_path, capsys, source, message):
+    bad = tmp_path / "long.src"
+    bad.write_text(source)
+    code, out, err = run_cli(capsys, "run", str(bad), "--in", "x=0")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_over_long_ce_integer_is_usage_error(tmp_path, capsys):
     ce = tmp_path / "long.ce.json"
     ce.write_text('{"i": 0, "j": ' + "1" * 5000 + "}")
