@@ -286,6 +286,50 @@ def test_disequality_splits_at_bound():
     assert s.check().model[SsaName("x", 0)] == 1
 
 
+def _ne(a, b):
+    return Atom("!=", a, b)
+
+
+X0, Y0 = SsaName("x", 0), SsaName("y", 0)
+
+
+@pytest.mark.parametrize(
+    "hard, softs, model, disabled, propagations",
+    [
+        ([_ne(var("x"), const(0))], [], {X0: 1}, [], 3),
+        ([_ne(var("x"), const(5))], [], {X0: 0}, [], 3),
+        ([_ne(var("x"), const(2))], [], {X0: 0}, [], 2),
+        ([_ne(var("x").scale(3), const(0))], [], {X0: 1}, [], 3),
+        ([_ne(var("x").scale(3), const(1)), Atom("<=", var("x"), const(0))], [], {X0: 0}, [], 4),
+        ([_ne(var("x"), const(v)) for v in (0, 1, 2)], [], {X0: 3}, [], 9),
+        ([_ne(var("x"), var("y")), eq(var("y"), const(0))], [], {X0: 1, Y0: 0}, [], 6),
+        ([_ne(var("x") + var("y").scale(2), const(3))], [], {X0: 0, Y0: 0}, [], 3),
+        ([_ne(var("x"), const(0)), Atom("<=", var("x"), const(0))], [], None, None, 2),
+        (
+            [Or((_ne(var("x"), const(0)), eq(var("y"), const(9)))), Atom("<=", var("y"), const(3))],
+            [], {X0: 1, Y0: 0}, [], 7,
+        ),
+        ([eq(var("x"), const(0))], [_ne(var("x"), const(0))], {X0: 0}, [0], 4),
+    ],
+    ids=["pinch-lo", "pinch-hi", "interior", "scaled", "scaled-no-multiple", "three-values",
+         "two-vars", "two-vars-free", "refuted", "in-disjunction", "soft"],
+)
+def test_disequality_propagation_is_pinned(hard, softs, model, disabled, propagations):
+    # the propagation count shows how much `!=` prunes before search, which
+    # the model alone does not
+    s = Solver(DomainConfig(0, 5))
+    for f in hard:
+        s.assert_hard(f)
+    for cid, f in enumerate(softs):
+        s.assert_soft(soft(cid, f))
+    r = s.check()
+    if model is None:
+        assert r is UNSAT
+    else:
+        assert (r.model, sorted(r.disabled)) == (model, disabled)
+    assert s.stats["propagations"] == propagations
+
+
 # --- properties -----------------------------------------------------------------
 
 
