@@ -5,9 +5,10 @@ Each corpus program gets its JSON report and its DSA graph in DOT form;
 absminus also gets its text report.
 
 Run after an intentional change to report content or solver internals,
-then review the diff before committing.  For each JSON report the script
-says whether it changed outside its `statistics` object, so a change that
-should move only solver counters shows at a glance whether it did.
+then review the diff before committing.  For each golden the script says
+whether it is new, unchanged or changed; for a JSON report, whether it
+changed outside its `statistics` object, so a change that should move
+only solver counters shows at a glance whether it did.
 """
 
 from __future__ import annotations
@@ -26,15 +27,21 @@ from faultlines.frontend import parse_program  # noqa: E402
 from faultlines.report import render_json, render_text  # noqa: E402
 
 
-def _json_change(old, new: bytes) -> str:
-    if old is None:
-        return "new"
-    if old == new:
-        return "unchanged"
+def _json_change(old: bytes, new: bytes) -> str:
     before, after = json.loads(old), json.loads(new)
     before.pop("statistics", None)
     after.pop("statistics", None)
     return "statistics only" if before == after else "changed outside statistics"
+
+
+def _write(path: Path, new, change=lambda old, new: "changed") -> str:
+    """Write `new` (str as UTF-8) to `path`; say how it differs from before."""
+    new = new.encode("utf-8") if isinstance(new, str) else new
+    old = path.read_bytes() if path.exists() else None
+    path.write_bytes(new)
+    if old is None:
+        return f"{path.name} new"
+    return f"{path.name} {'unchanged' if old == new else change(old, new)}"
 
 
 def main() -> None:
@@ -48,14 +55,14 @@ def main() -> None:
             json.loads((corpus / entry["ce"]).read_text()), fn.param_names
         )
         graph = build_cfg(fn)
-        (expected / f"{name}.dot").write_text(render_dot(graph))
         report = run(graph, ce, config_from_args(entry["args"]))
-        golden, doc = expected / f"{name}.json", render_json(report)
-        old = golden.read_bytes() if golden.exists() else None
-        golden.write_bytes(doc)
+        notes = [
+            _write(expected / f"{name}.json", render_json(report), _json_change),
+            _write(expected / f"{name}.dot", render_dot(graph)),
+        ]
         if name == "absminus":
-            (expected / f"{name}.txt").write_text(render_text(report))
-        print(f"wrote fixtures for {name}: {golden.name} {_json_change(old, doc)}")
+            notes.append(_write(expected / f"{name}.txt", render_text(report)))
+        print(f"wrote fixtures for {name}: {', '.join(notes)}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Control-flow graph construction in dynamic single-assignment (DSA) form.
 
 :func:`build_cfg` lowers a typechecked function into a DAG of assignment
-blocks and two-way decision nodes (one per `if`); join points are
-materialised as empty blocks so every branch region is single-entry /
-single-exit.  Variables are renamed while the graph is built, so that on
-every entry-to-exit path each versioned name is assigned at most once: the
+blocks and two-way decision nodes (one per `if`); the entry, the exit and
+the join points are empty blocks, so every branch region is single-entry /
+single-exit.  Each node maps its edge labels to their targets: a decision
+has `then` and `else`, every other block `next`, and the exit none.
+
+Variables are renamed while the graph is built, so that on every
+entry-to-exit path each versioned name is assigned at most once: the
 builder threads the latest version of each name through the statements and
 lowers each branch of an `if` on its own copy.  At the join, a branch that
 does not assign a variable the other branch assigns receives a synthetic
@@ -12,13 +15,14 @@ copy (flagged, located at the governing decision) so the variable's latest
 version is path-independent afterwards.  Version 0 always denotes the
 input/initial value: parameters start at version 0 and a declaration
 initialiser assigns version 0; ordinary assignments create fresh versions.
-Constraint ids (`cid`) number assignments in that same walk order.
+Constraint ids number assignments in that same walk order.
 
 Each expression is lowered to a linear formula over versioned names as it
 is renamed (:func:`~faultlines.formulas.linterm_from_expr`), so the graph
 holds no syntax trees: an assignment carries its right-hand side as a
 :class:`~faultlines.formulas.LinTerm` over earlier versions together with
-its soft constraint `target = rhs`, and decision guards and the pre-
+its soft constraint `target = rhs` (which holds its id, line and kind,
+assignment or synthetic copy), and decision guards and the pre-
 and postcondition are :class:`~faultlines.formulas.Formula` values.
 
 A bare-variable `return x` binds the specification's result directly to
@@ -37,6 +41,7 @@ from typing import NamedTuple, Optional
 from .formulas import (
     TRUE,
     Constraint,
+    ConstraintKind,
     Formula,
     LinTerm,
     SsaName,
@@ -56,18 +61,7 @@ NEXT = "next"
 class Assignment(NamedTuple):
     target: SsaName
     rhs: LinTerm  # affine in earlier versions
-    loc: SourceLoc
-    synthetic: bool
-    cid: int
-    constraint: Constraint  # the soft `target = rhs`, with id `cid`
-
-
-class Entry(NamedTuple):
-    id: str
-
-
-class Exit(NamedTuple):
-    id: str
+    constraint: Constraint  # the soft `target = rhs`
 
 
 class Block:
@@ -90,26 +84,15 @@ class Cfg:
 
     def __init__(self, name, param_locs, nodes, edges, entry, exit, decision_order,
                  result_var, ensures_loc, precondition, postcondition, id_base):
-        # edges: id -> list[(label, dst)]; precondition: over version-0 names, TRUE
-        # without `requires`; postcondition: \result is the final result version;
-        # id_base: the first constraint id after the assignments' cids
+        # edges: id -> {label: dst}; entry, exit: ids of empty blocks;
+        # precondition: over version-0 names, TRUE without `requires`;
+        # postcondition: \result is the final result version;
+        # id_base: the first constraint id after the assignments' ids
         self.name, self.param_locs, self.nodes, self.edges = name, param_locs, nodes, edges
         self.entry, self.exit, self.decision_order = entry, exit, decision_order
         self.result_var, self.ensures_loc = result_var, ensures_loc
         self.precondition, self.postcondition = precondition, postcondition
         self.id_base = id_base
-
-    def successors(self, nid: str) -> list:
-        return self.edges.get(nid, [])
-
-    def succ(self, nid: str, label: str) -> str:
-        for lab, dst in self.successors(nid):
-            if lab == label:
-                return dst
-        raise KeyError(f"node {nid} has no {label!r} edge")
-
-    def decisions(self) -> list:
-        return [self.nodes[d] for d in self.decision_order]
 
 
 class CfgError(Exception):
@@ -137,17 +120,16 @@ class _Builder:
         self.block_n = 0
         self.synth_n = 0
         self.cid = 0
-        self.decision_ids: set = set()
         self.decision_order: list = []
         self.result_var: Optional[str] = None
 
     def add(self, node) -> str:
         self.nodes[node.id] = node
-        self.edges.setdefault(node.id, [])
+        self.edges[node.id] = {}
         return node.id
 
     def link(self, src: str, label: str, dst: str) -> None:
-        self.edges.setdefault(src, []).append((label, dst))
+        self.edges[src][label] = dst
 
     def new_block(self, assignments: list) -> str:
         nid = f"n{self.block_n}"
@@ -156,9 +138,8 @@ class _Builder:
 
     def new_decision(self, guard: Formula, loc: SourceLoc) -> str:
         nid = f"d{loc.line}"
-        while nid in self.decision_ids:
+        while nid in self.nodes:
             nid += "x"
-        self.decision_ids.add(nid)
         # creation order is source preorder, i.e. depth-first from entry
         self.decision_order.append(nid)
         return self.add(Decision(nid, guard, loc))
@@ -166,8 +147,7 @@ class _Builder:
     def assignment(self, target: SsaName, rhs: LinTerm, loc: SourceLoc, synthetic=False):
         """An assignment and its soft constraint, numbered with the next id."""
         cid, self.cid = self.cid, self.cid + 1
-        c = assign_to_constraint(target, rhs, loc, synthetic, cid)
-        return Assignment(target, rhs, loc, synthetic, cid, c)
+        return Assignment(target, rhs, assign_to_constraint(target, rhs, loc, synthetic, cid))
 
     def assign(self, env: dict, base: str, rhs: Expr, loc: SourceLoc, init=False) -> Assignment:
         """`base` := `rhs`: a fresh version, or version 0 for an initialiser."""
@@ -264,8 +244,8 @@ def build_cfg(fn: Function) -> Cfg:
     TypeError.
     """
     b = _Builder()
-    entry = b.add(Entry("entry"))
-    exit_ = b.add(Exit("exit"))
+    entry = b.add(Block("entry", []))
+    exit_ = b.add(Block("exit", []))
     env: dict = {p: 0 for p in fn.param_names}
     attach = b.seq(fn.body, (entry, NEXT), env)
     b.link(attach[0], attach[1], exit_)
@@ -303,7 +283,7 @@ def iter_assignments(cfg: Cfg):
         node = cfg.nodes[nid]
         if isinstance(node, Block):
             out.extend(node.assignments)
-    return sorted(out, key=lambda a: a.cid)
+    return sorted(out, key=lambda a: a.constraint.id)
 
 
 def enumerate_paths(cfg: Cfg, limit: int = 2**10):
@@ -313,18 +293,16 @@ def enumerate_paths(cfg: Cfg, limit: int = 2**10):
     def rec(nid, acc):
         nonlocal count
         acc = acc + [nid]
-        node = cfg.nodes[nid]
-        if isinstance(node, Exit):
+        if nid == cfg.exit:
             count += 1
             if count > limit:
                 raise CfgError(f"more than {limit} paths")
             yield acc
             return
-        if isinstance(node, Decision):
-            yield from rec(cfg.succ(nid, THEN), acc)
-            yield from rec(cfg.succ(nid, ELSE), acc)
-        else:
-            yield from rec(cfg.successors(nid)[0][1], acc)
+        out = cfg.edges[nid]
+        for label in (THEN, ELSE, NEXT):
+            if label in out:
+                yield from rec(out[label], acc)
 
     yield from rec(cfg.entry, [])
 
@@ -343,24 +321,25 @@ def render_dot(cfg: Cfg) -> str:
     lines = [f'digraph "{_esc(cfg.name)}" {{', "  node [shape=box];"]
     for nid in sorted(cfg.nodes):
         node = cfg.nodes[nid]
-        if isinstance(node, Entry):
+        if nid == cfg.entry:
             lines.append(f'  "{nid}" [shape=circle, label="entry"];')
-        elif isinstance(node, Exit):
+        elif nid == cfg.exit:
             lines.append(f'  "{nid}" [shape=doublecircle, label="exit"];')
         elif isinstance(node, Decision):
             label = f"{node.guard}\\nline {node.loc.line}"
             lines.append(f'  "{nid}" [shape=diamond, label="{_esc(label)}"];')
-        elif isinstance(node, Block):
+        else:
             rows = []
             for a in node.assignments:
+                c = a.constraint
                 txt = f"{a.target} = {a.rhs.render()}"
-                if a.synthetic:
+                if c.kind is ConstraintKind.SYNTHETIC_COPY:
                     txt += " (synthetic)"
-                rows.append(f"{txt} @ {a.loc.line}")
+                rows.append(f"{txt} @ {c.loc.line}")
             label = "\\n".join(rows) if rows else "(join)"
             lines.append(f'  "{nid}" [label="{_esc(label)}"];')
     for src in sorted(cfg.edges):
-        for label, dst in cfg.edges[src]:
+        for label, dst in cfg.edges[src].items():
             attr = f' [label="{label}"]' if label in (THEN, ELSE) else ""
             lines.append(f'  "{src}" -> "{dst}"{attr};')
     lines.append("}")

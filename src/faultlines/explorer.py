@@ -40,15 +40,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .cfg import (
-    ELSE,
-    THEN,
-    Block,
-    Cfg,
-    Decision,
-    Entry,
-    Exit,
-)
+from .cfg import ELSE, NEXT, THEN, Cfg, Decision
 from .formulas import (
     Atom,
     Constraint,
@@ -186,14 +178,11 @@ class Statistics:
 
 
 class Report:
-    __slots__ = ("program", "counterexample", "b_cond", "mcs_config", "dom", "incremental",
-                 "diagnoses", "stats")
+    __slots__ = ("program", "counterexample", "config", "incremental", "diagnoses", "stats")
 
-    def __init__(self, program, counterexample, b_cond, mcs_config, dom, incremental,
-                 diagnoses, stats):
-        self.program, self.counterexample, self.b_cond = program, counterexample, b_cond
-        self.mcs_config, self.dom, self.incremental = mcs_config, dom, incremental
-        self.diagnoses, self.stats = diagnoses, stats
+    def __init__(self, program, counterexample, config, incremental, diagnoses, stats):
+        self.program, self.counterexample, self.config = program, counterexample, config
+        self.incremental, self.diagnoses, self.stats = incremental, diagnoses, stats
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +247,8 @@ def propagate(
         segments = resume.segments[: resume.depth + 1]
         nid = resume.node
     snapshots: list = []
-    while True:
+    while nid != cfg.exit:
         node = cfg.nodes[nid]
-        if isinstance(node, Exit):
-            break
-        if isinstance(node, Entry):
-            nid = cfg.successors(nid)[0][1]
-            continue
-        if isinstance(node, Block):
-            for a in node.assignments:
-                value = a.rhs.eval(model)
-                if not dom.lo <= value <= dom.hi:
-                    visited = (s.node for s in decisions)
-                    raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
-                model[a.target] = value
-                segments[-1].append(a.constraint)
-            nid = cfg.successors(nid)[0][1]
-            continue
         if isinstance(node, Decision):
             deviated = nid in deviations
             if deviated:
@@ -289,9 +263,16 @@ def propagate(
                 taken = ELSE if taken == THEN else THEN
             decisions.append(DecisionStep(nid, taken, deviated))
             segments.append([])
-            nid = cfg.succ(nid, taken)
+            nid = cfg.edges[nid][taken]
             continue
-        raise ExplorerError(f"unexpected node {node!r}")
+        for a in node.assignments:
+            value = a.rhs.eval(model)
+            if not dom.lo <= value <= dom.hi:
+                visited = (s.node for s in decisions)
+                raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
+            model[a.target] = value
+            segments[-1].append(a.constraint)
+        nid = cfg.edges[nid][NEXT]
     missing = deviations - {s.node for s in decisions}
     if missing:
         raise DeviationUnreachedError(missing)
@@ -500,9 +481,7 @@ def run(
     return Report(
         program=cfg.name,
         counterexample=ce,
-        b_cond=config.b_cond,
-        mcs_config=config.mcs,
-        dom=config.dom,
+        config=config,
         incremental=incremental,
         diagnoses=tuple(diagnoses),
         stats=stats,

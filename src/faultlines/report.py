@@ -51,11 +51,11 @@ def render_text(report: Report) -> str:
     lines.append(f"program: {report.program}")
     ce = ", ".join(f"{k}={v}" for k, v in report.counterexample.items)
     lines.append(f"counterexample: {ce if ce else '(none)'}")
+    config = report.config
     lines.append(
         "settings: "
-        f"b_cond={report.b_cond} b_mcs={report.mcs_config.b_mcs} "
-        f"k_max={report.mcs_config.k_max} "
-        f"domain=[{report.dom.lo},{report.dom.hi}] "
+        f"b_cond={config.b_cond} b_mcs={config.mcs.b_mcs} k_max={config.mcs.k_max} "
+        f"domain=[{config.dom.lo},{config.dom.hi}] "
         f"incremental={'on' if report.incremental else 'off'}"
     )
     for i, diag in enumerate(report.diagnoses, start=1):
@@ -141,16 +141,16 @@ def _diagnosis_doc(diag: Diagnosis) -> dict:
 
 
 def report_document(report: Report) -> dict:
-    s = report.stats
+    s, config = report.stats, report.config
     return {
         "schema_version": SCHEMA_VERSION,
         "program": report.program,
         "counterexample": {k: v for k, v in report.counterexample.items},
         "settings": {
-            "b_cond": report.b_cond,
-            "b_mcs": report.mcs_config.b_mcs,
-            "k_max": report.mcs_config.k_max,
-            "domain": {"lo": report.dom.lo, "hi": report.dom.hi},
+            "b_cond": config.b_cond,
+            "b_mcs": config.mcs.b_mcs,
+            "k_max": config.mcs.k_max,
+            "domain": {"lo": config.dom.lo, "hi": config.dom.hi},
             "incremental": report.incremental,
         },
         "diagnoses": [_diagnosis_doc(d) for d in report.diagnoses],

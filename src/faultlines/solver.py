@@ -4,9 +4,9 @@ The engine decides conjunctions of :class:`~faultlines.formulas.Formula`
 over bounded integer variables.  It combines bounds-consistency interval
 propagation on linear atoms with depth-first search that labels one
 variable at a time (first-fail variable choice, smallest value first).
-A disjunction prunes only once all but one of its disjuncts are false,
-and `!=` only prunes when a bound pinches the forbidden value.  Complete
-on finite boxes.
+A disjunction prunes only once all but one of its disjuncts are false;
+`d != 0` is compiled to the disjunction `d < 0 || d > 0`.  Complete on
+finite boxes.
 
 Every asserted formula becomes one propagator: its compiled node, the
 variables it watches and an optional selector.  Without a selector the
@@ -83,7 +83,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 # Compiled formula nodes: ('lin', op, idxs, coefs, const) with op in
-# {'==', '<=', '!='} meaning  sum(coefs*x) + const  OP  0, or
+# {'==', '<='} meaning  sum(coefs*x) + const  OP  0, or
 # ('and', nodes) / ('or', nodes).
 _FALSE = ("lin", "==", (), (), 1)
 
@@ -215,6 +215,9 @@ class Solver:
         if isinstance(f, Atom):
             diff = f.lhs - f.rhs
             op = f.op
+            if op == "!=":
+                zero = LinTerm.constant(0)
+                return self._compile(Or((Atom("<", diff, zero), Atom(">", diff, zero))))
             if op == "<":
                 diff, op = diff + LinTerm.constant(1), "<="
             elif op == ">=":
@@ -225,8 +228,7 @@ class Solver:
             idxs = tuple(self._register(n) for n, _ in diff.coeffs)
             coefs = tuple(c for _, c in diff.coeffs)
             if not idxs:
-                value = {"==": diff.const == 0, "<=": diff.const <= 0, "!=": diff.const != 0}[op]
-                return value, []
+                return (diff.const == 0 if op == "==" else diff.const <= 0), []
             return ("lin", op, idxs, coefs, diff.const), list(idxs)
         if isinstance(f, (And, Or)):
             nodes, idxs = [], []
@@ -300,16 +302,9 @@ class Solver:
                 if mn > 0 or mx < 0:
                     return False
                 return None
-            if op == "<=":
-                if mx <= 0:
-                    return True
-                if mn > 0:
-                    return False
-                return None
-            # '!='
-            if mn > 0 or mx < 0:
+            if mx <= 0:  # '<='
                 return True
-            if mn == 0 and mx == 0:
+            if mn > 0:
                 return False
             return None
         if kind == "and":
@@ -381,37 +376,21 @@ class Solver:
                     if not self._set_lo(i, _ceil_div(b, c)):
                         return False
             return True
-        if op == "<=":
-            if mn > 0:
-                return False
-            if mx <= 0:
-                return True
-            for i, c in zip(idxs, coefs):
-                cmin = c * lo[i] if c > 0 else c * hi[i]
-                others_mn = mn - cmin
-                b = -others_mn  # need c*x <= b
-                if c > 0:
-                    if not self._set_hi(i, b // c):
-                        return False
-                else:
-                    if not self._set_lo(i, _ceil_div(b, c)):
-                        return False
-            return True
-        # '!='
-        if mn > 0 or mx < 0:
-            return True
-        if mn == 0 and mx == 0:
+        # '<='
+        if mn > 0:
             return False
-        unfixed = [t for t in zip(idxs, coefs) if lo[t[0]] != hi[t[0]]]
-        if len(unfixed) == 1:
-            i, c = unfixed[0]
-            fixed = const + sum(cc * lo[ii] for ii, cc in zip(idxs, coefs) if ii != i)
-            if fixed % c == 0:
-                forbidden = -fixed // c
-                if lo[i] == forbidden:
-                    return self._set_lo(i, forbidden + 1)
-                if hi[i] == forbidden:
-                    return self._set_hi(i, forbidden - 1)
+        if mx <= 0:
+            return True
+        for i, c in zip(idxs, coefs):
+            cmin = c * lo[i] if c > 0 else c * hi[i]
+            others_mn = mn - cmin
+            b = -others_mn  # need c*x <= b
+            if c > 0:
+                if not self._set_hi(i, b // c):
+                    return False
+            else:
+                if not self._set_lo(i, _ceil_div(b, c)):
+                    return False
         return True
 
     def _drain_failed(self) -> None:

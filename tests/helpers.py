@@ -283,9 +283,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
     return Report(
         program=cfg.name,
         counterexample=ce,
-        b_cond=config.b_cond,
-        mcs_config=config.mcs,
-        dom=config.dom,
+        config=config,
         incremental=incremental,
         diagnoses=tuple(diagnoses),
         stats=stats,

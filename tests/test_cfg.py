@@ -7,8 +7,7 @@ from faultlines.cfg import (
     Block,
     Decision,
     ELSE,
-    Entry,
-    Exit,
+    NEXT,
     THEN,
     build_cfg,
     enumerate_paths,
@@ -16,7 +15,7 @@ from faultlines.cfg import (
     render_dot,
 )
 from faultlines.explorer import Counterexample, propagate
-from faultlines.formulas import TRUE, SsaName, eval_formula
+from faultlines.formulas import TRUE, ConstraintKind, LinTerm, SsaName, eval_formula
 from faultlines.frontend import interpret, parse_program
 from faultlines.solver import DomainConfig
 
@@ -31,20 +30,47 @@ def _assignment_texts(cfg):
         node = cfg.nodes[nid]
         if isinstance(node, Block):
             for a in node.assignments:
-                out.append((str(a.target), a.rhs.render(), a.loc.line, a.synthetic))
+                c = a.constraint
+                synthetic = c.kind is ConstraintKind.SYNTHETIC_COPY
+                out.append((str(a.target), a.rhs.render(), c.loc.line, synthetic))
     return out
 
 
 def test_absminus_cfg_two_decisions():
     text, _, _ = corpus_entry("absminus")
     g = build_cfg(parse_program(text))
-    decisions = g.decisions()
-    assert len(decisions) == 2
     assert g.decision_order == ("d9", "d11")
     assert str(g.nodes["d9"].guard) == "i_0 <= j_0"
-    for d in decisions:
-        labels = sorted(label for label, _ in g.successors(d.id))
-        assert labels == [ELSE, THEN]
+    _check_edge_maps(g)
+
+
+def _check_edge_maps(g):
+    """Decisions map exactly `then` and `else`, other blocks `next`, the exit
+    nothing; each assignment's sides are its constraint's formula."""
+    decisions = [nid for nid, node in g.nodes.items() if isinstance(node, Decision)]
+    assert sorted(decisions) == sorted(g.decision_order)
+    for nid, node in g.nodes.items():
+        labels = set(g.edges[nid])
+        if isinstance(node, Decision):
+            assert labels == {THEN, ELSE}, nid
+            continue
+        assert isinstance(node, Block), nid
+        assert labels == (set() if nid == g.exit else {NEXT}), nid
+        if nid in (g.entry, g.exit):
+            assert node.assignments == [], nid
+        for a in node.assignments:
+            f = a.constraint.formula
+            assert (f.op, f.lhs, f.rhs) == ("==", LinTerm.var(a.target), a.rhs), nid
+    assert set(g.edges) == set(g.nodes)
+
+
+def test_edge_maps_on_corpus_tritype_and_random_programs():
+    texts = [corpus_entry(name)[0] for name in corpus_manifest()]
+    texts.append((ROOT / "perfbench" / "tritype" / "tritype.src").read_text())
+    rng = np.random.default_rng(5)
+    texts += [random_program(rng, max_params=3, max_depth=3) for _ in range(40)]
+    for text in texts:
+        _check_edge_maps(compile_source(text)[1])
 
 
 def test_straight_line_cfg_shape():
@@ -54,12 +80,11 @@ def test_straight_line_cfg_shape():
     g = build_cfg(fn)
     assert g.decision_order == ()
     chain = [g.entry]
-    while not isinstance(g.nodes[chain[-1]], Exit):
-        succs = g.successors(chain[-1])
-        assert len(succs) == 1
-        chain.append(succs[0][1])
-    kinds = [type(g.nodes[n]) for n in chain]
-    assert kinds == [Entry, Block, Exit]
+    while chain[-1] != g.exit:
+        assert list(g.edges[chain[-1]]) == [NEXT]
+        chain.append(g.edges[chain[-1]][NEXT])
+    assert len(chain) == 3
+    assert all(isinstance(g.nodes[n], Block) for n in chain)
 
 
 NESTED = """\
@@ -79,7 +104,7 @@ int f (int a, int b) {
 
 def test_nested_ifs_three_decisions_depth_first():
     g = build_cfg(parse_program(NESTED))
-    assert len(g.decisions()) == 3
+    assert len(g.decision_order) == 3
     # depth-first: outer first, then the then-branch's, then the else-branch's
     assert g.decision_order == ("d4", "d5", "d8")
     # hand-constructed path set: 4 entry-to-exit paths through the diamonds
@@ -90,11 +115,10 @@ def test_nested_ifs_three_decisions_depth_first():
     }
     assert dec_seqs == {("d4", "d5"), ("d4", "d8")}
     # hand-checked edge set around the outer decision
-    assert g.succ("d4", THEN) == "d5"
-    assert g.succ("d4", ELSE) == "d8"
+    assert g.edges["d4"] == {THEN: "d5", ELSE: "d8"}
     for d in ("d5", "d8"):
         for label in (THEN, ELSE):
-            dst = g.succ(d, label)
+            dst = g.edges[d][label]
             assert isinstance(g.nodes[dst], Block)
 
 
@@ -220,14 +244,14 @@ def _check_synthetic_copies_are_identity(fn, g):
 
         nid = g.entry
         steps = iter(trace.decisions)
-        while not isinstance(g.nodes[nid], Exit):
+        while nid != g.exit:
             node = g.nodes[nid]
             if isinstance(node, Decision):
-                nid = g.succ(nid, next(steps).taken)
+                nid = g.edges[nid][next(steps).taken]
                 continue
             if isinstance(node, Block):
                 for a in node.assignments:
-                    if a.synthetic:
+                    if a.constraint.kind is ConstraintKind.SYNTHETIC_COPY:
                         alias[a.target] = resolve(a.rhs.names[0])
                     else:
                         term = a.rhs
@@ -235,10 +259,7 @@ def _check_synthetic_copies_are_identity(fn, g):
                             c * model[resolve(n)] for n, c in term.coeffs
                         )
                         model[a.target] = value
-            succs = g.successors(nid)
-            if not succs:
-                break
-            nid = succs[0][1]
+            nid = g.edges[nid][NEXT]
         assert model[resolve(result_name)] == trace.final_model[result_name]
 
 
@@ -323,7 +344,7 @@ def test_id_base_follows_the_assignment_ids():
     texts += [random_program(rng, max_params=3, max_depth=2) for _ in range(20)]
     for text in texts:
         _, g = compile_source(text)
-        assert [a.cid for a in iter_assignments(g)] == list(range(g.id_base))
+        assert [a.constraint.id for a in iter_assignments(g)] == list(range(g.id_base))
 
 
 def test_branch_local_declaration_stays_local():
