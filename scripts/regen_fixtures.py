@@ -34,9 +34,8 @@ def _json_change(old: bytes, new: bytes) -> str:
     return "statistics only" if before == after else "changed outside statistics"
 
 
-def _write(path: Path, new, change=lambda old, new: "changed") -> str:
-    """Write `new` (str as UTF-8) to `path`; say how it differs from before."""
-    new = new.encode("utf-8") if isinstance(new, str) else new
+def _write(path: Path, new: bytes, change=lambda old, new: "changed") -> str:
+    """Write `new` to `path`; say how it differs from what was there."""
     old = path.read_bytes() if path.exists() else None
     path.write_bytes(new)
     if old is None:
@@ -58,10 +57,10 @@ def main() -> None:
         report = run(graph, ce, config_from_args(entry["args"]))
         notes = [
             _write(expected / f"{name}.json", render_json(report), _json_change),
-            _write(expected / f"{name}.dot", render_dot(graph)),
+            _write(expected / f"{name}.dot", render_dot(graph).encode("utf-8")),
         ]
         if name == "absminus":
-            notes.append(_write(expected / f"{name}.txt", render_text(report)))
+            notes.append(_write(expected / f"{name}.txt", render_text(report).encode("utf-8")))
         print(f"wrote fixtures for {name}: {', '.join(notes)}")
 
 
