@@ -104,7 +104,6 @@ int f (int a, int b) {
 
 def test_nested_ifs_three_decisions_depth_first():
     g = build_cfg(parse_program(NESTED))
-    assert len(g.decision_order) == 3
     # depth-first: outer first, then the then-branch's, then the else-branch's
     assert g.decision_order == ("d4", "d5", "d8")
     # hand-constructed path set: 4 entry-to-exit paths through the diamonds
