@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from faultlines.formulas import (
     And,
@@ -11,8 +12,8 @@ from faultlines.formulas import (
     SsaName,
 )
 from faultlines.frontend import SourceLoc
-from faultlines.mcs import ALREADY_SAT, HARD_UNSAT, OK, McsConfig, enumerate_mcs
-from faultlines.solver import DomainConfig
+from faultlines.mcs import ALREADY_SAT, HARD_UNSAT, OK, McsConfig, enumerate_mcs, enumerate_on
+from faultlines.solver import DomainConfig, Solver
 
 from helpers import assert_mcs_properties, bruteforce_mcs, exhaustive_sat, random_system
 
@@ -251,6 +252,35 @@ def test_k_max_limits_cardinality():
     assert enumerate_mcs(cs, McsConfig(b_mcs=5, k_max=1), DomainConfig(-4, 4)).mcs_list == ()
     full = enumerate_mcs(cs, McsConfig(b_mcs=5, k_max=2), DomainConfig(-4, 4))
     assert full.id_sets() == {frozenset({0, 1})}
+
+
+@pytest.mark.parametrize(
+    "config, ids, stats",
+    [
+        (McsConfig(10, 3), [[2, 3], [1, 3], [0, 3]], (8, 176, 17)),
+        (McsConfig(2, 2), [[2, 3], [1, 3]], (7, 157, 13)),
+    ],
+    ids=["three-mcs", "budget-two"],
+)
+def test_enumerate_on_with_blocking_clauses_is_pinned(config, ids, stats):
+    # x3 = x0 + 3 along the chain and x3 = 2*x0 both break under x0 = 1,
+    # x3 = 0: each cardinality-2 MCS pairs {3} with one chain link, and every
+    # model after the first must pass the blocking clauses of those before
+    x = [SsaName("x", i) for i in range(4)]
+    s = Solver(DomainConfig(-5, 5))
+    s.assert_hard(Atom("==", var(x[0]), const(1)))
+    s.assert_hard(Atom("==", var(x[3]), const(0)))
+    softs = [
+        Atom("==", var(x[1]), var(x[0]) + const(1)),
+        Atom("==", var(x[2]), var(x[1]) + const(1)),
+        Atom("==", var(x[3]), var(x[2]) + const(1)),
+        Atom("==", var(x[3]), var(x[0]).scale(2)),
+    ]
+    sels = [s.assert_soft(_c(i, f, ConstraintKind.ASSIGNMENT)) for i, f in enumerate(softs)]
+    result = enumerate_on(s, sels, config)
+    assert result.flag == OK
+    assert [sorted(m.ids) for m in result] == ids
+    assert (s.stats["checks"], s.stats["propagations"], s.stats["assertions"]) == stats
 
 
 # --- oracle equivalence and invariants on random systems -----------------------------

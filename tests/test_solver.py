@@ -330,6 +330,37 @@ def test_disequality_propagation_is_pinned(hard, softs, model, disabled, propaga
     assert s.stats["propagations"] == propagations
 
 
+Z0 = SsaName("z", 0)
+
+
+@pytest.mark.parametrize(
+    "hard, model, propagations",
+    [
+        ([eq(var("x").scale(3), const(7))], None, 1),
+        ([eq(var("x").scale(2) - var("y").scale(3), const(1))], {X0: -4, Y0: -3}, 5),
+        ([Atom("<=", var("y").scale(2) - var("x"), const(-3))], {X0: -5, Y0: -5}, 4),
+        ([eq(var("x") + var("y"), const(4)), Atom(">=", var("x") - var("y"), const(2))],
+         {X0: 3, Y0: 1}, 11),
+        ([eq(var("x"), var("y")), eq(var("y"), var("z")), eq(var("z"), var("x") - const(5))],
+         None, 9),
+        ([Or((eq(var("x"), const(3)), Atom("<=", var("y"), const(-4)))),
+          Atom(">=", var("x") + var("y"), const(6))], {X0: 3, Y0: 3}, 8),
+        ([eq(var("x").scale(-2), var("y")), Atom(">=", var("y"), const(3))], {X0: -2, Y0: 4}, 7),
+    ],
+    ids=["no-multiple", "two-vars", "upper-bound", "equation-and-bound", "cycle-refuted",
+         "in-disjunction", "negative-coefficient"],
+)
+def test_linear_propagation_is_pinned(hard, model, propagations):
+    # `==` and `<=` tighten bounds by one rule; the propagation count shows
+    # how much each system prunes before search, which the model alone does not
+    s = Solver(DomainConfig(-5, 5))
+    for f in hard:
+        s.assert_hard(f)
+    r = s.check()
+    assert (r if r is UNSAT else r.model) == model
+    assert s.stats["propagations"] == propagations
+
+
 # --- properties -----------------------------------------------------------------
 
 
