@@ -224,15 +224,6 @@ def _paren(f: Formula) -> str:
     return str(f)
 
 
-def disj(items: Iterable[Formula]) -> Formula:
-    items = tuple(items)
-    if not items:
-        return FALSE
-    if len(items) == 1:
-        return items[0]
-    return Or(items)
-
-
 def negate(f: Formula) -> Formula:
     """Logical negation in negation normal form; atoms flip their operator."""
     if isinstance(f, Atom):

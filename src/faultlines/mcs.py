@@ -3,14 +3,16 @@
 A correction set is a set of soft constraints whose removal makes the
 hard constraints plus the remaining soft ones satisfiable; an MCS is an
 irreducible one.  Every condition on the soft constraints' 0/1
-selectors is a hard formula over their sum `enabled`.  Enumeration checks
-the hard constraints alone (`enabled == 0`), then for k = 0, 1, ...
-asserts "at most k disabled" (`enabled >= n - k`) and repeatedly asks the
-solver for models.  Level 0 is the satisfiability check: a model there
-means nothing to correct.  At k >= 1 each model's disabled set is a new
-MCS (smaller MCSs were exhausted at earlier k, and a blocking clause per
-found MCS keeps at least one of its members enabled, excluding
-duplicates and supersets).  Each cardinality level is exhausted before
+selectors is a hard linear bound on a sum of selectors, the blocking
+clauses included.  Enumeration checks the hard constraints alone
+(`enabled == 0`, where `enabled` sums every selector), then for
+k = 0, 1, ... asserts "at most k disabled" (`enabled >= n - k`) and
+repeatedly asks the solver for models.  Level 0 is the satisfiability
+check: a model there means nothing to correct.  At k >= 1 each model's
+disabled set is a new MCS (smaller MCSs were exhausted at earlier k, and
+a blocking clause per found MCS, its members' selectors summing to at
+least 1, keeps one of them enabled, excluding duplicates and
+supersets).  Each cardinality level is exhausted before
 results are ordered and the `b_mcs` cut is applied, so the documented
 tie-break is independent of solver search order: it compares the
 members' positions in the selector list, which follows the path, latest
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .formulas import Atom, ConstraintSet, LinTerm, disj
+from .formulas import Atom, ConstraintSet, LinTerm
 from .records import validated
 from .solver import UNSAT, DomainConfig, Solver
 
@@ -111,11 +113,8 @@ def enumerate_on(solver: Solver, sels, config: McsConfig) -> McsResult:
                 solver.pop(fid)
                 return McsResult((), ALREADY_SAT)
             level.append(sorted((position[i] for i in r.disabled), reverse=True))
-            block = disj(
-                Atom("==", LinTerm.var(sel.var), LinTerm.constant(1))
-                for sel in sels
-                if sel.id in r.disabled
-            )
+            members = LinTerm.of((sel.var, 1) for sel in sels if sel.id in r.disabled)
+            block = Atom(">=", members, LinTerm.constant(1))
             solver.assert_hard(block)
             blocks.append(block)
         solver.pop(fid)

@@ -2,11 +2,13 @@
 
 The engine decides conjunctions of :class:`~faultlines.formulas.Formula`
 over bounded integer variables.  It combines bounds-consistency interval
-propagation on linear atoms with depth-first search that labels one
-variable at a time (first-fail variable choice, smallest value first).
-A disjunction prunes only once all but one of its disjuncts are false;
-`d != 0` is compiled to the disjunction `d < 0 || d > 0`.  Complete on
-finite boxes.
+propagation with depth-first search that labels one variable at a time
+(first-fail variable choice, smallest value first).  Every linear atom
+compiles to one interval node `lo <= sum(c*x) <= hi`: `==` bounds the
+sum on both sides, and `<`, `<=`, `>` and `>=` only from above (a `>=`
+negates its coefficients).  A disjunction prunes only once all but one
+of its disjuncts are false; `d != 0` is compiled to the disjunction
+`d < 0 || d > 0`.  Complete on finite boxes.
 
 Every asserted formula becomes one propagator: its compiled node, the
 variables it watches and an optional selector.  Without a selector the
@@ -82,10 +84,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-# Compiled formula nodes: ('lin', op, idxs, coefs, const) with op in
-# {'==', '<='} meaning  sum(coefs*x) + const  OP  0, or
-# ('and', nodes) / ('or', nodes).
-_FALSE = ("lin", "==", (), (), 1)
+# Compiled formula nodes: ('lin', idxs, coefs, lo, hi) meaning
+# lo <= sum(coefs*x) <= hi, with lo None when the sum has no lower bound,
+# or ('and', nodes) / ('or', nodes).
+_FALSE = ("lin", (), (), None, -1)
 
 
 class _Prop:
@@ -189,7 +191,7 @@ class Solver:
         sel_idx = self._register(sel_var)
         node, idxs = self._compile(c.formula)
         if node is True:
-            node = ("lin", "==", (), (), 0)  # trivially satisfied
+            node = ("lin", (), (), None, 0)  # trivially satisfied
         self._install(sel_idx, node, sorted(set(idxs) | {sel_idx}))
         sel = Selector(c.id, sel_var, c)
         self.selectors.append(sel)
@@ -218,18 +220,16 @@ class Solver:
             if op == "!=":
                 zero = LinTerm.constant(0)
                 return self._compile(Or((Atom("<", diff, zero), Atom(">", diff, zero))))
-            if op == "<":
-                diff, op = diff + LinTerm.constant(1), "<="
-            elif op == ">=":
+            if op in (">", ">="):
                 diff = -diff
-                op = "<="
-            elif op == ">":
-                diff, op = (-diff) + LinTerm.constant(1), "<="
+            # sum(c*x) <= -const, or < -const as <= -const - 1 on integers
+            hi = -diff.const - 1 if op in ("<", ">") else -diff.const
+            lo = hi if op == "==" else None
             idxs = tuple(self._register(n) for n, _ in diff.coeffs)
             coefs = tuple(c for _, c in diff.coeffs)
             if not idxs:
-                return (diff.const == 0 if op == "==" else diff.const <= 0), []
-            return ("lin", op, idxs, coefs, diff.const), list(idxs)
+                return (lo is None or lo <= 0) and 0 <= hi, []
+            return ("lin", idxs, coefs, lo, hi), list(idxs)
         if isinstance(f, (And, Or)):
             nodes, idxs = [], []
             for item in f.items:
@@ -277,8 +277,8 @@ class Solver:
             self._touch(idx)
         return True
 
-    def _lin_bounds(self, idxs, coefs, const):
-        mn = mx = const
+    def _lin_bounds(self, idxs, coefs):
+        mn = mx = 0
         lo, hi = self.lo, self.hi
         for i, c in zip(idxs, coefs):
             if c > 0:
@@ -294,18 +294,12 @@ class Solver:
         False if for none, None otherwise."""
         kind = node[0]
         if kind == "lin":
-            _, op, idxs, coefs, const = node
-            mn, mx = self._lin_bounds(idxs, coefs, const)
-            if op == "==":
-                if mn == 0 and mx == 0:
-                    return True
-                if mn > 0 or mx < 0:
-                    return False
-                return None
-            if mx <= 0:  # '<='
-                return True
-            if mn > 0:
+            _, idxs, coefs, lo, hi = node
+            mn, mx = self._lin_bounds(idxs, coefs)
+            if mn > hi or (lo is not None and mx < lo):
                 return False
+            if mx <= hi and (lo is None or mn >= lo):
+                return True
             return None
         if kind == "and":
             result = True
@@ -350,47 +344,23 @@ class Solver:
         return self._enforce(unit)
 
     def _enforce_lin(self, node) -> bool:
-        _, op, idxs, coefs, const = node
-        mn, mx = self._lin_bounds(idxs, coefs, const)
-        lo, hi = self.lo, self.hi
-        if op == "==":
-            if mn > 0 or mx < 0:
-                return False
-            for i, c in zip(idxs, coefs):
-                if c > 0:
-                    cmin, cmax = c * lo[i], c * hi[i]
-                else:
-                    cmin, cmax = c * hi[i], c * lo[i]
-                others_mn = mn - cmin
-                others_mx = mx - cmax
-                # need: -others_mx <= c*x <= -others_mn
-                a, b = -others_mx, -others_mn
-                if c > 0:
-                    if not self._set_lo(i, _ceil_div(a, c)):
-                        return False
-                    if not self._set_hi(i, b // c):
-                        return False
-                else:
-                    if not self._set_hi(i, a // c):
-                        return False
-                    if not self._set_lo(i, _ceil_div(b, c)):
-                        return False
-            return True
-        # '<='
-        if mn > 0:
+        _, idxs, coefs, lo_sum, hi_sum = node
+        mn, mx = self._lin_bounds(idxs, coefs)
+        if mn > hi_sum or (lo_sum is not None and mx < lo_sum):
             return False
-        if mx <= 0:
+        if mx <= hi_sum and (lo_sum is None or mn >= lo_sum):
             return True
+        lo, hi = self.lo, self.hi
         for i, c in zip(idxs, coefs):
-            cmin = c * lo[i] if c > 0 else c * hi[i]
-            others_mn = mn - cmin
-            b = -others_mn  # need c*x <= b
-            if c > 0:
-                if not self._set_hi(i, b // c):
+            cmin, cmax = (c * lo[i], c * hi[i]) if c > 0 else (c * hi[i], c * lo[i])
+            # the other terms span [mn - cmin, mx - cmax]
+            if lo_sum is not None:
+                a = lo_sum - (mx - cmax)  # need c*x >= a
+                if not (self._set_lo(i, _ceil_div(a, c)) if c > 0 else self._set_hi(i, a // c)):
                     return False
-            else:
-                if not self._set_lo(i, _ceil_div(b, c)):
-                    return False
+            b = hi_sum - (mn - cmin)  # need c*x <= b
+            if not (self._set_hi(i, b // c) if c > 0 else self._set_lo(i, _ceil_div(b, c))):
+                return False
         return True
 
     def _drain_failed(self) -> None:
