@@ -197,14 +197,14 @@ class And(Formula):
     __slots__ = ("items",)
 
     def __str__(self) -> str:
-        return " && ".join(_paren(i) for i in self.items)
+        return _render(self)
 
 
 class Or(Formula):
     __slots__ = ("items",)
 
     def __str__(self) -> str:
-        return " || ".join(_paren(i) for i in self.items)
+        return _render(self)
 
 
 class BoolConst(Formula):
@@ -218,10 +218,16 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-def _paren(f: Formula) -> str:
-    if isinstance(f, (And, Or)):
-        return f"({f})"
-    return str(f)
+def _render(f: Formula) -> str:
+    """Text of an And/Or; nested And/Or items keep their parentheses.
+
+    The parser nests a `&&` or `||` chain one level per operator, so this,
+    :func:`negate` and :func:`eval_formula` recurse in one frame per level.
+    """
+    parts = []
+    for i in f.items:
+        parts.append(f"({_render(i)})" if isinstance(i, (And, Or)) else str(i))
+    return (" && " if isinstance(f, And) else " || ").join(parts)
 
 
 def negate(f: Formula) -> Formula:
@@ -230,10 +236,9 @@ def negate(f: Formula) -> Formula:
         return Atom(CMP_FLIP[f.op], f.lhs, f.rhs)
     if isinstance(f, BoolConst):
         return FALSE if f.value else TRUE
-    if isinstance(f, And):
-        return Or(tuple(negate(i) for i in f.items))
-    if isinstance(f, Or):
-        return And(tuple(negate(i) for i in f.items))
+    if isinstance(f, (And, Or)):
+        items = tuple(map(negate, f.items))
+        return Or(items) if isinstance(f, And) else And(items)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -252,10 +257,12 @@ def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     """Evaluate under a total assignment; raises UnboundVariableError."""
     if isinstance(f, Atom):
         return CMP_EVAL[f.op](f.lhs.eval(model), f.rhs.eval(model))
-    if isinstance(f, And):
-        return all(eval_formula(i, model) for i in f.items)
-    if isinstance(f, Or):
-        return any(eval_formula(i, model) for i in f.items)
+    if isinstance(f, (And, Or)):
+        want = isinstance(f, Or)  # the item value that decides the result
+        for i in f.items:
+            if eval_formula(i, model) == want:
+                return want
+        return not want
     if isinstance(f, BoolConst):
         return f.value
     raise TypeError(f"not a formula: {f!r}")

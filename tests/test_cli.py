@@ -318,6 +318,27 @@ def test_long_path_exits_1(tmp_path, capsys):
     assert got == (1, "", "error: program path is too long for the solver's search\n")
 
 
+@pytest.mark.parametrize("op, sign", [("&&", "-"), ("||", "")], ids=["and", "or"])
+def test_long_condition_chain_runs_and_writes_dot(tmp_path, capsys, op, sign):
+    # a 400-term chain nests 399 levels deep, one per operator, and prints as
+    # the parser nested it, every inner chain in parentheses; x = -5 fails it
+    terms = [f"x > {sign}{i}" for i in range(1, 401)]
+    src = tmp_path / "chain.src"
+    src.write_text(
+        "/*@ ensures \\result == 1; */\nint f (int x) {\n  int r = 0;\n"
+        f"  if ({f' {op} '.join(terms)}) {{\n    r = 1;\n  }}\n  return r;\n}}\n"
+    )
+    label = f"x_0 > {sign}1 {op} x_0 > {sign}2"
+    for i in range(3, 401):
+        label = f"({label}) {op} x_0 > {sign}{i}"
+    dot = tmp_path / "chain.dot"
+    code, out, err = run_cli(capsys, "run", str(src), "--in", "x=-5", "--domain=-10:10",
+                             "--bcond", "1", "--dot", str(dot))
+    assert (code, err) == (0, "")
+    assert f"  deviated condition: line 4 (d4): {label}\n" in out
+    assert f'"d4" [shape=diamond, label="{label}\\\\nline 4"];' in dot.read_text()
+
+
 def test_nested_ifs_below_the_limit_run(tmp_path, capsys):
     src = tmp_path / "nested.src"
     src.write_text(_nested_ifs(300))
