@@ -141,13 +141,24 @@ def config_from_args(flags) -> ExplorerConfig:
     return _explorer_config(_build_arg_parser().parse_args(["run", "-", *_join_domain(flags)]))
 
 
+def _bindings(pairs, parser: argparse.ArgumentParser, source: str) -> dict:
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            parser.error(f"{source} binds {shown(name)} twice")
+        out[name] = value
+    return out
+
+
 def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
     if args.inputs and args.ce_file:
         parser.error("use either --in bindings or --ce-file, not both")
     if args.ce_file:
         try:
             with open(args.ce_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(
+                    fh, object_pairs_hook=lambda p: _bindings(p, parser, "counterexample file")
+                )
         except (OSError, UnicodeDecodeError) as e:
             parser.error(f"cannot read counterexample file: {e}")
         except json.JSONDecodeError as e:
@@ -160,19 +171,19 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
         ):
             parser.error("counterexample file must be a JSON object of integers")
         return data
-    out = {}
+    out = []
     for binding in args.inputs:
         name, sep, value = binding.partition("=")
         if not sep or not name:
             parser.error(f"--in expects NAME=INT, got {shown(binding)}")
         try:
-            out[name] = int(value)
+            out.append((name, int(value)))
         except ValueError:
             if re.fullmatch(r"\s*[+-]?\d+\s*", value):
                 # an integer over Python's 4,300-digit conversion limit
                 parser.error(f"--in value for {shown(name)} has too many digits")
             parser.error(f"--in value for {shown(name)} is not an integer: {shown(value)}")
-    return out
+    return _bindings(out, parser, "--in")
 
 
 def main(argv=None) -> int:

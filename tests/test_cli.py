@@ -121,6 +121,30 @@ def test_wrong_ce_keys_is_usage_error(capsys):
     assert code == 2 and "zz" in err
 
 
+@pytest.mark.parametrize(
+    "bindings, ce_text, message",
+    [
+        (["i=0", "j=1", "i=1"], None, "--in binds 'i' twice"),
+        (["k" * 5000 + "=0", "k" * 5000 + "=1"], None,
+         f"--in binds '{'k' * 20}'... (5000 characters) twice"),
+        ([], '{"i": 0, "j": 1, "i": 1}', "counterexample file binds 'i' twice"),
+    ],
+    ids=["in", "in-long-name", "ce-file"],
+)
+def test_name_bound_twice_is_usage_error(tmp_path, capsys, bindings, ce_text, message):
+    # the last value used to win without a word
+    args = ["run", str(CORPUS / "absminus.src")]
+    for b in bindings:
+        args += ["--in", b]
+    if ce_text is not None:
+        ce = tmp_path / "ce.json"
+        ce.write_text(ce_text)
+        args += ["--ce-file", str(ce)]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"faultlines: error: {message}"
+
+
 # --- exit codes -----------------------------------------------------------------------
 
 
