@@ -8,7 +8,7 @@ path's constraint system.  Suspects are reported per path, mapped back
 to source lines.
 """
 
-from .cfg import Cfg, build_cfg, enumerate_paths, render_dot
+from .cfg import Cfg, build_cfg, render_dot
 from .explorer import (
     Counterexample,
     DeviationUnreachedError,
@@ -34,7 +34,7 @@ from .formulas import (
     eval_formula,
     negate,
 )
-from .frontend import Diagnostic, Function, SourceLoc, interpret, parse_program, pretty, typecheck
+from .frontend import Diagnostic, Function, SourceLoc, parse_program, typecheck
 from .mcs import Mcs, McsConfig, McsResult, enumerate_mcs
 from .report import render_json, render_text, report_document
 from .solver import UNSAT, DomainConfig, Sat, Selector, Solver
@@ -72,13 +72,10 @@ __all__ = [
     "build_cfg",
     "diagnose",
     "enumerate_mcs",
-    "enumerate_paths",
     "eval_formula",
-    "interpret",
     "negate",
     "parse_program",
     "path_satisfies_post",
-    "pretty",
     "propagate",
     "render_dot",
     "render_json",
