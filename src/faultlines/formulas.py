@@ -219,11 +219,9 @@ FALSE = BoolConst(False)
 
 
 def _render(f: Formula) -> str:
-    """Text of an And/Or; nested And/Or items keep their parentheses.
-
-    The parser nests a `&&` or `||` chain one level per operator, so this,
-    :func:`negate` and :func:`eval_formula` recurse in one frame per level.
-    """
+    """Text of an And/Or, nested And/Or items in parentheses.  The parser
+    nests a `&&` or `||` chain one level per operator, so this, :func:`negate`
+    and :func:`eval_formula` recurse in one frame per level."""
     parts = []
     for i in f.items:
         parts.append(f"({_render(i)})" if isinstance(i, (And, Or)) else str(i))

@@ -3,20 +3,19 @@
 A correction set is a set of soft constraints whose removal makes the
 hard constraints plus the remaining soft ones satisfiable; an MCS is an
 irreducible one.  Every condition on the soft constraints' 0/1
-selectors is a hard linear bound on a sum of selectors, the blocking
-clauses included.  Enumeration checks the hard constraints alone
+selectors, the blocking clauses included, is a hard linear bound on a
+sum of selectors.  Enumeration checks the hard constraints alone
 (`enabled == 0`, where `enabled` sums every selector), then for
 k = 0, 1, ... asserts "at most k disabled" (`enabled >= n - k`) and
 repeatedly asks the solver for models.  Level 0 is the satisfiability
 check: a model there means nothing to correct.  At k >= 1 each model's
 disabled set is a new MCS (smaller MCSs were exhausted at earlier k, and
-a blocking clause per found MCS, its members' selectors summing to at
-least 1, keeps one of them enabled, excluding duplicates and
-supersets).  Each cardinality level is exhausted before
-results are ordered and the `b_mcs` cut is applied, so the documented
-tie-break is independent of solver search order: it compares the
-members' positions in the selector list, which follows the path, latest
-first.
+per found MCS a blocking clause, its members' selectors summing to at
+least 1, excludes duplicates and supersets).  Each cardinality level is
+exhausted before results are ordered and the `b_mcs` cut is applied, so
+the documented tie-break is independent of solver search order: it
+compares the members' positions in the selector list, which follows the
+path, latest first.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ The engine decides conjunctions of :class:`~faultlines.formulas.Formula`
 over bounded integer variables.  It combines bounds-consistency interval
 propagation with depth-first search that labels one variable at a time
 (first-fail variable choice, smallest value first).  Every linear atom
-compiles to one interval node `lo <= sum(c*x) <= hi`: `==` bounds the
-sum on both sides, and `<`, `<=`, `>` and `>=` only from above (a `>=`
-negates its coefficients).  A disjunction prunes only once all but one
-of its disjuncts are false; `d != 0` is compiled to the disjunction
-`d < 0 || d > 0`.  Complete on finite boxes.
+compiles to one interval node `lo <= sum(c*x) <= hi`, with no lower
+bound for `<`, `<=`, `>` and `>=`, and `d != 0` to the disjunction
+`d < 0 || d > 0`.  A disjunction prunes only once all but one of its
+disjuncts are false.  Complete on finite boxes.
 
 Every asserted formula becomes one propagator: its compiled node, the
 variables it watches and an optional selector.  Without a selector the

@@ -330,9 +330,6 @@ def test_disequality_propagation_is_pinned(hard, softs, model, disabled, propaga
     assert s.stats["propagations"] == propagations
 
 
-Z0 = SsaName("z", 0)
-
-
 @pytest.mark.parametrize(
     "hard, model, propagations",
     [
