@@ -538,6 +538,77 @@ int f (int a, int b, int c) {
 """
 
 
+# Conditions stand in `ensures` and integer expressions in `return`; each
+# prints fully parenthesised, so the text shows how the parser grouped it.
+GROUPING = [
+    ("ensures", "a > 0 ==> b > 0 ==> c > 0", "((a > 0) ==> (((b > 0) ==> (c > 0))))"),
+    ("ensures", "a > 0 || b > 0 && c > 0 ==> x == 0",
+     "((((a > 0) || (((b > 0) && (c > 0))))) ==> (x == 0))"),
+    ("ensures", "!x + 1 > 0", "!((x + 1) > 0)"),
+    ("ensures", "!a < b && !!(c >= 0) || a != b",
+     "((((!(a < b)) && (!(!(c >= 0))))) || (a != b))"),
+    ("ensures", "a - b - c != x * 2 + 1", "((a - b) - c) != ((x * 2) + 1)"),
+    ("ensures", "((((a)))) <= ((b + (c)))", "a <= (b + c)"),
+    ("ensures", "(((a > 0))) || ((b > 0 && (c > 0)))", "((a > 0) || (((b > 0) && (c > 0))))"),
+    ("ensures", "\\result == -x * 2 - -a", "\\result == ((-(x) * 2) - -(a))"),
+    ("ensures", "a + b * c - x >= -(a - b) ==> !(a == b) ==> (c < 0 ==> x <= 1)",
+     "((((a + (b * c)) - x) >= -((a - b))) ==> (((!(a == b)) ==> (((c < 0) ==> (x <= 1))))))"),
+    ("return", "a - b - c", "((a - b) - c)"),
+    ("return", "-x * 2", "(-(x) * 2)"),
+    ("return", "a + b * 3 - -c * 4", "((a + (b * 3)) - (-(c) * 4))"),
+    ("return", "((a)) - ((b - (c)))", "(a - (b - c))"),
+    ("return", "- - x + 2 * -(a + b) * 3", "(-(-(x)) + ((2 * -((a + b))) * 3))"),
+]
+
+
+def _grouping_program(clause, text):
+    ensures, ret = (text, "a") if clause == "ensures" else ("\\result == a", text)
+    return parse_program(
+        f"/*@ ensures {ensures}; */ int f (int a, int b, int c, int x) {{ return {ret}; }}"
+    )
+
+
+@pytest.mark.parametrize("clause, text, grouped", GROUPING)
+def test_operator_grouping_is_pinned(clause, text, grouped):
+    lines = pretty(_grouping_program(clause, text)).splitlines()
+    if clause == "ensures":
+        assert lines[1] == f" @ ensures {grouped};"
+    else:
+        assert lines[-2] == f"  return {grouped};"
+
+
+def _preorder(node):
+    label = getattr(node, "op", None) or getattr(node, "name", None) or getattr(node, "value", "")
+    yield type(node).__name__, label, node.loc.line, node.loc.column
+    for child in ("lhs", "rhs", "operand"):
+        if hasattr(node, child):
+            yield from _preorder(getattr(node, child))
+
+
+def test_node_locations_of_a_mixed_condition_are_pinned():
+    # an operator node is at its operator token, a prefix node at its prefix
+    fn = _grouping_program("ensures", "!x + 1 > 0 && -x * 2 < (a) ==> b == \\result")
+    assert list(_preorder(fn.postcondition)) == [
+        ("Logic", "==>", 1, 40),
+        ("Logic", "&&", 1, 24),
+        ("BoolNot", "", 1, 13),
+        ("Cmp", ">", 1, 20),
+        ("Arith", "+", 1, 16),
+        ("VarRef", "x", 1, 14),
+        ("IntLit", 1, 1, 18),
+        ("IntLit", 0, 1, 22),
+        ("Cmp", "<", 1, 34),
+        ("Arith", "*", 1, 30),
+        ("Neg", "", 1, 27),
+        ("VarRef", "x", 1, 28),
+        ("IntLit", 2, 1, 32),
+        ("VarRef", "a", 1, 37),
+        ("Cmp", "==", 1, 46),
+        ("VarRef", "b", 1, 44),
+        ("ResultRef", "", 1, 49),
+    ]
+
+
 def test_interpret_absminus():
     text, _, _ = corpus_entry("absminus")
     fn = parse_program(text)
