@@ -9,8 +9,9 @@
 taken for an option.
 
 Exit codes: 0 report produced; 1 file/parse/typecheck failure, a
-program nested too deeply to analyse, or one whose path is too long for
-the solver's search (diagnostics on stderr); 2 usage
+program nested too deeply to analyse, one whose path is too long for
+the solver's search, or a report that cannot be written (diagnostics on
+stderr); 2 usage
 error, including a run whose inputs or computed values leave the
 `--domain` box; 3 not a counterexample, as `explorer.run` decides: the
 inputs violate `requires` (checked before the box), or their path
@@ -166,6 +167,8 @@ def _load_counterexample(args, parser: argparse.ArgumentParser) -> dict:
         except ValueError:
             # json refuses an integer over Python's 4,300-digit conversion limit
             parser.error("counterexample file holds an integer with too many digits")
+        except RecursionError:
+            parser.error("counterexample file nests too deeply")
         if not isinstance(data, dict) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in data.values()
         ):
@@ -241,11 +244,15 @@ def main(argv=None) -> int:
         print("error: program path is too long for the solver's search", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if args.format == "json":
-        sys.stdout.buffer.write(render_json(report))
-        sys.stdout.buffer.flush()
-    else:
-        sys.stdout.write(render_text(report))
+    try:
+        if args.format == "json":
+            sys.stdout.buffer.write(render_json(report))
+        else:
+            sys.stdout.write(render_text(report))
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_OK
 
 

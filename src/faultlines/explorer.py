@@ -89,7 +89,9 @@ class Counterexample(NamedTuple):
         params = tuple(params)
         missing = [p for p in params if p not in mapping]
         if missing:
-            raise ExplorerError(f"counterexample misses parameter(s): {', '.join(missing)}")
+            raise ExplorerError(
+                f"counterexample misses parameter(s): {', '.join(map(shown, missing))}"
+            )
         extra = [k for k in mapping if k not in params]
         if extra:
             raise ExplorerError(

@@ -10,17 +10,18 @@ This module provides:
 
 * the AST node types (every node carries a 1-based :class:`SourceLoc`,
   which AST equality and hashing ignore),
-* :func:`parse_program` (lexer + recursive-descent parser); the lexer is
-  one regular expression over the ASCII character classes of
-  ``docs/grammar.md``, so any other character is a parse error,
-* :func:`typecheck` (scoping, definite assignment, linearity),
-* :func:`pretty` (canonical re-printing, parse-equivalent),
+* :func:`parse_program`: the lexer is one regular expression over the
+  ASCII character classes of ``docs/grammar.md``, so any other character
+  is a parse error; the parser reads conditions and integer expressions
+  alike, by precedence climbing over one table of binding powers,
+* :func:`typecheck` (the sort of each operand, scoping, definite
+  assignment, linearity),
 * :func:`interpret` (reference semantics used as an oracle elsewhere).
 
 Loops, floats, calls, arrays and non-linear arithmetic are rejected.
 All functions here are pure; parsing the same text twice yields equal
 ASTs, so values can be shared freely across threads.  Equality compares
-structure only, so a :func:`pretty` re-print parses equal to its source.
+structure only, so a re-printed program parses equal to its source.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Iterator, NamedTuple, Optional
 
 from .records import Node, shown
 
-INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -264,6 +264,15 @@ def _tokenize(src: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
+# Binding powers for precedence climbing (Pratt 1973), with the node each
+# operator builds.  An operator of power p reads its right operand at
+# power p + 1, so it groups to the left; `==>` reads it at p and groups
+# to the right.
+_INFIX = {"==>": (1, Logic), "||": (2, Logic), "&&": (3, Logic),
+          **dict.fromkeys(CMP_OPS, (5, Cmp)), "+": (6, Arith), "-": (6, Arith), "*": (7, Arith)}
+_PREFIX = {"!": (4, BoolNot), "-": (7, Neg)}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -320,13 +329,13 @@ class _Parser:
                     self.next()
                     if pre is not None:
                         raise ParseError("duplicate requires clause", t.loc)
-                    pre = self.parse_bool_expr()
+                    pre = self.parse_expr()
                     self.expect(";")
                 elif t.kind == "ensures":
                     self.next()
                     if post is not None:
                         raise ParseError("duplicate ensures clause", t.loc)
-                    post = self.parse_bool_expr()
+                    post = self.parse_expr()
                     ensures_loc = t.loc
                     self.expect(";")
                 else:
@@ -386,7 +395,7 @@ class _Parser:
         if t.kind == "if":
             self.next()
             self.expect("(")
-            cond = self.parse_bool_expr()
+            cond = self.parse_expr()
             self.expect(")")
             then_body = self.parse_branch()
             else_body: tuple = ()
@@ -413,84 +422,28 @@ class _Parser:
             return tuple(body)
         return (self.parse_stmt(),)
 
-    # boolean expressions: implies (right-assoc) > or > and > not > primary
+    def parse_expr(self, min_bp: int = 1):
+        """An integer expression or a condition, by precedence climbing.
 
-    def parse_bool_expr(self) -> BoolExpr:
-        lhs = self.parse_or()
+        Only infix operators of power `min_bp` or more are taken; the
+        typechecker judges whether each operand is of the right sort.
+        """
         t = self.peek()
-        if t.kind == "==>":
+        if t.kind in _PREFIX:
             self.next()
-            return Logic("==>", lhs, self.parse_bool_expr(), t.loc)
-        return lhs
-
-    def parse_or(self) -> BoolExpr:
-        lhs = self.parse_and()
-        while self.at("||"):
-            t = self.next()
-            lhs = Logic("||", lhs, self.parse_and(), t.loc)
-        return lhs
-
-    def parse_and(self) -> BoolExpr:
-        lhs = self.parse_bool_unary()
-        while self.at("&&"):
-            t = self.next()
-            lhs = Logic("&&", lhs, self.parse_bool_unary(), t.loc)
-        return lhs
-
-    def parse_bool_unary(self) -> BoolExpr:
-        t = self.peek()
-        if t.kind == "!":
+            bp, node = _PREFIX[t.kind]
+            lhs = node(self.parse_expr(bp + 1), t.loc)
+        else:
+            lhs = self.parse_atom()
+        while True:
+            t = self.peek()
+            bp, node = _INFIX.get(t.kind, (0, None))
+            if bp < min_bp:
+                return lhs
             self.next()
-            return BoolNot(self.parse_bool_unary(), t.loc)
-        if t.kind == "(":
-            # Ambiguous: '(' may open a nested boolean expression or a
-            # parenthesised arithmetic operand of a comparison.  Try the
-            # boolean reading first and backtrack on failure.
-            snapshot = self.pos
-            try:
-                self.next()
-                inner = self.parse_bool_expr()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = snapshot
-        return self.parse_cmp()
+            lhs = node(t.kind, lhs, self.parse_expr(bp if t.kind == "==>" else bp + 1), t.loc)
 
-    def parse_cmp(self) -> Cmp:
-        lhs = self.parse_expr()
-        t = self.peek()
-        if t.kind not in CMP_OPS:
-            raise ParseError(
-                f"expected comparison operator, found {shown(t.text or t.kind)}", t.loc
-            )
-        self.next()
-        rhs = self.parse_expr()
-        return Cmp(t.kind, lhs, rhs, t.loc)
-
-    # arithmetic: additive > multiplicative > unary > atom
-
-    def parse_expr(self) -> Expr:
-        lhs = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            t = self.next()
-            lhs = Arith(t.kind, lhs, self.parse_term(), t.loc)
-        return lhs
-
-    def parse_term(self) -> Expr:
-        lhs = self.parse_unary()
-        while self.at("*"):
-            t = self.next()
-            lhs = Arith("*", lhs, self.parse_unary(), t.loc)
-        return lhs
-
-    def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "-":
-            self.next()
-            return Neg(self.parse_unary(), t.loc)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
+    def parse_atom(self):
         t = self.peek()
         if t.kind == "num":
             self.next()
@@ -550,7 +503,7 @@ class _Checker:
             seen: set = set()
             for p in self.fn.params:
                 if p.name in seen:
-                    self.diags.append(Diagnostic(f"duplicate parameter '{p.name}'", p.loc))
+                    self.diag(f"duplicate parameter {shown(p.name)}", p.loc)
                 seen.add(p.name)
         # one declaration per name per function: initialisers assign
         # version 0, which must be unambiguous downstream
@@ -562,26 +515,25 @@ class _Checker:
         self.check_bool(self.fn.postcondition, partial(self.annot_name, params, True), True)
         return self.diags
 
+    def diag(self, message: str, loc: SourceLoc) -> None:
+        self.diags.append(Diagnostic(message, loc))
+
     # The two rules for a name: the `leaf` argument of the walkers below.
 
     def body_name(self, scopes: list[dict], assigned: set, e) -> None:
         if isinstance(e, ResultRef):
-            self.diags.append(Diagnostic("\\result is not allowed in function bodies", e.loc))
+            self.diag("\\result is not allowed in function bodies", e.loc)
         elif not any(e.name in frame for frame in scopes):
-            self.diags.append(Diagnostic(f"use of undeclared variable '{e.name}'", e.loc))
+            self.diag(f"use of undeclared variable {shown(e.name)}", e.loc)
         elif e.name not in assigned:
-            self.diags.append(
-                Diagnostic(f"variable '{e.name}' may be used before assignment", e.loc)
-            )
+            self.diag(f"variable {shown(e.name)} may be used before assignment", e.loc)
 
     def annot_name(self, params: set, allow_result: bool, e) -> None:
         if isinstance(e, ResultRef):
             if not allow_result:
-                self.diags.append(Diagnostic("\\result is only allowed in 'ensures'", e.loc))
+                self.diag("\\result is only allowed in 'ensures'", e.loc)
         elif e.name not in params:
-            self.diags.append(
-                Diagnostic(f"annotation refers to '{e.name}', which is not a parameter", e.loc)
-            )
+            self.diag(f"annotation refers to {shown(e.name)}, which is not a parameter", e.loc)
 
     def check_stmts(self, stmts, scopes: list[dict], assigned: set) -> None:
         # the loop updates `scopes` and `assigned` in place, and `leaf` reads them
@@ -589,19 +541,17 @@ class _Checker:
         for s in stmts:
             if isinstance(s, Decl):
                 if s.name in self.ever_declared:
-                    self.diags.append(Diagnostic(f"redeclaration of '{s.name}'", s.loc))
+                    self.diag(f"redeclaration of {shown(s.name)}", s.loc)
                 self.ever_declared.add(s.name)
                 if s.init is not None:
-                    self.check_expr(s.init, leaf)
+                    self.check_expr(s.init, leaf, False)
                 scopes[-1][s.name] = s.loc
                 if s.init is not None:
                     assigned.add(s.name)
             elif isinstance(s, Assign):
                 if not any(s.target in frame for frame in scopes):
-                    self.diags.append(
-                        Diagnostic(f"assignment to undeclared variable '{s.target}'", s.loc)
-                    )
-                self.check_expr(s.rhs, leaf)
+                    self.diag(f"assignment to undeclared variable {shown(s.target)}", s.loc)
+                self.check_expr(s.rhs, leaf, False)
                 assigned.add(s.target)
             elif isinstance(s, If):
                 self.check_bool(s.cond, leaf, False)
@@ -612,110 +562,55 @@ class _Checker:
                 visible = set().union(*[set(f) for f in scopes])
                 assigned |= (a_then & a_else & visible)
             elif isinstance(s, Return):
-                self.check_expr(s.expr, leaf)
+                self.check_expr(s.expr, leaf, False)
 
-    def check_expr(self, e: Expr, leaf) -> bool:
+    def check_expr(self, e, leaf, annotation: bool) -> bool:
         """Check `e`, judging each name by `leaf`; True iff `e` mentions a name.
 
         A product is linear when one operand mentions no name: `(i - i) * j`
         is refused although `i - i` folds to 0.
         """
+        if isinstance(e, BoolExpr):
+            self.diag("expected an integer expression, found a condition", e.loc)
+            self.check_bool(e, leaf, annotation)
+            return False
         if isinstance(e, IntLit):
             return False
         if isinstance(e, (VarRef, ResultRef)):
             leaf(e)
             return True
         if isinstance(e, Neg):
-            return self.check_expr(e.operand, leaf)
-        lhs = self.check_expr(e.lhs, leaf)
-        rhs = self.check_expr(e.rhs, leaf)
+            return self.check_expr(e.operand, leaf, annotation)
+        lhs = self.check_expr(e.lhs, leaf, annotation)
+        rhs = self.check_expr(e.rhs, leaf, annotation)
         if lhs and rhs and e.op == "*":
-            self.diags.append(Diagnostic("non-linear term: product of two variables", e.loc))
+            self.diag("non-linear term: product of two variables", e.loc)
         return lhs or rhs
 
-    def check_bool(self, b: BoolExpr, leaf, annotation: bool) -> None:
+    def check_bool(self, b, leaf, annotation: bool) -> None:
         if isinstance(b, Cmp):
-            self.check_expr(b.lhs, leaf)
-            self.check_expr(b.rhs, leaf)
+            self.check_expr(b.lhs, leaf, annotation)
+            self.check_expr(b.rhs, leaf, annotation)
         elif isinstance(b, Logic):
-            # the parser accepts '==>' in any condition, so an `if` can carry one
+            # the parser accepts '==>' anywhere, so an `if` can carry one
             if b.op == "==>" and not annotation:
-                self.diags.append(Diagnostic("'==>' is only allowed in annotations", b.loc))
+                self.diag("'==>' is only allowed in annotations", b.loc)
             self.check_bool(b.lhs, leaf, annotation)
             self.check_bool(b.rhs, leaf, annotation)
         elif isinstance(b, BoolNot):
             self.check_bool(b.operand, leaf, annotation)
+        else:
+            self.diag("expected a condition, found an integer expression", b.loc)
+            self.check_expr(b, leaf, annotation)
 
 
 def typecheck(fn: Function) -> list[Diagnostic]:
-    """Check scoping, definite assignment, linearity, and where `\\result` and `==>` stand.
+    """Check scoping, definite assignment, linearity, each operand's sort, and where
+    `\\result` and `==>` stand.
 
     Returns an empty list iff the function is well-formed; never raises.
     """
     return _Checker(fn).run()
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (canonical form; reparses to an equal AST modulo locations)
-# ---------------------------------------------------------------------------
-
-
-def _p_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, VarRef):
-        return str(e.name)
-    if isinstance(e, ResultRef):
-        return "\\result"
-    if isinstance(e, Neg):
-        return f"-({_p_expr(e.operand)})"
-    if isinstance(e, Arith):
-        return f"({_p_expr(e.lhs)} {e.op} {_p_expr(e.rhs)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _p_bool(b: BoolExpr) -> str:
-    if isinstance(b, Cmp):
-        return f"{_p_expr(b.lhs)} {b.op} {_p_expr(b.rhs)}"
-    if isinstance(b, Logic):
-        return f"(({_p_bool(b.lhs)}) {b.op} ({_p_bool(b.rhs)}))"
-    if isinstance(b, BoolNot):
-        return f"!({_p_bool(b.operand)})"
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-def _p_stmts(stmts, indent: str) -> list[str]:
-    lines = []
-    for s in stmts:
-        if isinstance(s, Decl):
-            init = f" = {_p_expr(s.init)}" if s.init is not None else ""
-            lines.append(f"{indent}int {s.name}{init};")
-        elif isinstance(s, Assign):
-            lines.append(f"{indent}{s.target} = {_p_expr(s.rhs)};")
-        elif isinstance(s, Return):
-            lines.append(f"{indent}return {_p_expr(s.expr)};")
-        elif isinstance(s, If):
-            lines.append(f"{indent}if ({_p_bool(s.cond)}) {{")
-            lines.extend(_p_stmts(s.then_body, indent + "  "))
-            if s.else_body:
-                lines.append(f"{indent}}} else {{")
-                lines.extend(_p_stmts(s.else_body, indent + "  "))
-            lines.append(f"{indent}}}")
-    return lines
-
-
-def pretty(fn: Function) -> str:
-    """Render the AST back to parseable source text (canonical layout)."""
-    lines = ["/*@"]
-    if fn.precondition is not None:
-        lines.append(f" @ requires {_p_bool(fn.precondition)};")
-    lines.append(f" @ ensures {_p_bool(fn.postcondition)};")
-    lines.append(" @ */")
-    params = ", ".join(f"int {p.name}" for p in fn.params)
-    lines.append(f"int {fn.name} ({params}) {{")
-    lines.extend(_p_stmts(fn.body, "  "))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,35 @@ def test_non_ascii_character_exits_1(tmp_path, capsys, source, message):
     assert err.strip() == message
 
 
+# From Python 3.12 the JSON decoder nests as deep as the C recursion limit
+# allows (about 1,500 levels on 3.12 and 10,000 on 3.13), so 1,000 levels
+# decode there and are refused as not an object of integers.
+@pytest.mark.parametrize("depth, message", [
+    (1_000, "counterexample file nests too deeply" if sys.version_info < (3, 12)
+     else "counterexample file must be a JSON object of integers"),
+    (100_000, "counterexample file nests too deeply"),
+], ids=["1000", "100000"])
+def test_deeply_nested_ce_file_is_usage_error(tmp_path, capsys, depth, message):
+    ce = tmp_path / "deep.ce.json"
+    ce.write_text('{"i": 0, "j": 1, "k": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run_cli(capsys, "run", str(CORPUS / "absminus.src"), "--ce-file", str(ce))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"faultlines: error: {message}"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unwritable_report_exits_1(fmt):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultlines.cli", "run", str(CORPUS / "absminus.src"),
+             "--in", "i=0", "--in", "j=1", "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(),
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
+
+
 def test_non_utf8_program_exits_1(tmp_path, capsys):
     bad = tmp_path / "latin1.src"
     bad.write_bytes(b"/*@ ensures \\result == x; */\n// caf\xe9\nint f (int x) { return x; }\n")
@@ -224,7 +253,7 @@ def test_over_long_literal_exits_1(tmp_path, capsys):
     [
         (
             "/*@ ensures x " + "z" * 5000 + "; */ int f(int x) { return x; }",
-            f"line 1:15: expected comparison operator, found '{'z' * 20}'... (5000 characters)",
+            f"line 1:15: expected ';', found '{'z' * 20}'... (5000 characters)",
         ),
         (
             "/*@ ensures \\result == x; */ int f(int x) { " + "0" * 5000 + "1; return x; }",
@@ -305,6 +334,59 @@ def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
     )
 
 
+# `(body, stderr)`: every operand of the wrong sort is reported, and the
+# walk goes on below it, so one run lists every misuse
+ILL_SORTED = [
+    ("  if (x) { x = 1; }\n",
+     "error: line 3:7: expected a condition, found an integer expression\n"),
+    ("  int y = x > 0;\n",
+     "error: line 3:13: expected an integer expression, found a condition\n"),
+    ("  if (x < 1 < 2) { x = 1; }\n",
+     "error: line 3:9: expected an integer expression, found a condition\n"),
+    ("  if (!x) { x = 1; }\n",
+     "error: line 3:8: expected a condition, found an integer expression\n"),
+    ("  x = x > 0 ==> m > 1;\n  x = -(x == 1) + 1;\n",
+     "error: line 3:13: expected an integer expression, found a condition\n"
+     "error: line 3:13: '==>' is only allowed in annotations\n"
+     "error: line 3:17: use of undeclared variable 'm'\n"
+     "error: line 4:11: expected an integer expression, found a condition\n"),
+]
+
+
+@pytest.mark.parametrize("body, stderr", ILL_SORTED,
+                         ids=["if-integer", "decl-condition", "comparison-chain", "not-integer",
+                              "implies-assigned"])
+def test_ill_sorted_operands_exit_1(tmp_path, capsys, body, stderr):
+    bad = tmp_path / "bad.src"
+    bad.write_text(f"/*@ ensures \\result == x; */\nint f (int x) {{\n{body}  return x;\n}}\n")
+    assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (1, "", stderr)
+
+
+def test_ill_sorted_annotations_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.src"
+    bad.write_text(
+        "/*@ requires x + (x > 0) > 1;\n  @ ensures \\result; */\nint f (int x) {\n"
+        "  return x;\n}\n"
+    )
+    assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (
+        1,
+        "",
+        "error: line 1:21: expected an integer expression, found a condition\n"
+        "error: line 2:13: expected a condition, found an integer expression\n",
+    )
+
+
+def test_over_long_undeclared_name_is_cut_in_the_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.src"
+    bad.write_text(
+        "/*@ ensures \\result == x; */\nint f (int x) {\n  int y = " + "z" * 5000 + ";\n"
+        "  return x;\n}\n"
+    )
+    assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (
+        1, "", f"error: line 3:11: use of undeclared variable '{'z' * 20}'... (5000 characters)\n"
+    )
+
+
 def _nested_ifs(depth):
     body = "x = x + 1;"
     for i in range(depth):
@@ -327,6 +409,20 @@ def test_deep_program_exits_1(tmp_path, capsys, source):
     assert code == 1
     assert out == ""
     assert err == "error: program nests too deeply to analyse\n"
+
+
+def test_deeply_parenthesised_condition_runs(tmp_path, capsys):
+    # the parser spends two frames per parenthesis and reads `(` the same way
+    # in a condition and in an integer expression
+    src = tmp_path / "parens.src"
+    src.write_text(
+        "/*@ ensures \\result == 1; */\nint f (int x) {\n  int r = 0;\n"
+        f"  if ({'(' * 400}x{')' * 400} > 0) {{\n    r = 1;\n  }}\n  return r;\n}}\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(src), "--in", "x=-5", "--domain=-10:10",
+                             "--bcond", "1")
+    assert (code, err) == (0, "")
+    assert "  deviated condition: line 4 (d4): x_0 > 0\n" in out
 
 
 def test_long_path_exits_1(tmp_path, capsys):
@@ -555,6 +651,13 @@ def test_import_does_not_load_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
+    assert proc.stdout.strip() == "False"
+
+
+def test_reference_import_does_not_load_numpy():
+    code = "import sys, reference; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), cwd=str(ROOT / "tests"), check=True)
     assert proc.stdout.strip() == "False"
 
 

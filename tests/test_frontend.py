@@ -23,11 +23,11 @@ from faultlines.frontend import (
     _tokenize,
     interpret,
     parse_program,
-    pretty,
     typecheck,
 )
 
 from helpers import ROOT, corpus_entry, random_program
+from reference import pretty
 
 IDENTITY = """\
 /*@ ensures \\result == x; */
