@@ -605,8 +605,7 @@ class _Checker:
 
 
 def typecheck(fn: Function) -> list[Diagnostic]:
-    """Check scoping, definite assignment, linearity, each operand's sort, and where
-    `\\result` and `==>` stand.
+    """Check sorts, scoping, definite assignment, linearity, and where `\\result` and `==>` stand.
 
     Returns an empty list iff the function is well-formed; never raises.
     """

@@ -187,8 +187,8 @@ def test_non_ascii_character_exits_1(tmp_path, capsys, source, message):
 
 
 # From Python 3.12 the JSON decoder nests as deep as the C recursion limit
-# allows (about 1,500 levels on 3.12 and 10,000 on 3.13), so 1,000 levels
-# decode there and are refused as not an object of integers.
+# allows (under 2,000 levels on 3.12.1, under 10,000 on 3.13.0), so 1,000
+# levels decode there and are refused as not an object of integers.
 @pytest.mark.parametrize("depth, message", [
     (1_000, "counterexample file nests too deeply" if sys.version_info < (3, 12)
      else "counterexample file must be a JSON object of integers"),
@@ -334,57 +334,40 @@ def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
     )
 
 
-# `(body, stderr)`: every operand of the wrong sort is reported, and the
-# walk goes on below it, so one run lists every misuse
-ILL_SORTED = [
-    ("  if (x) { x = 1; }\n",
+BODY_SPEC = "ensures \\result == x;"
+
+# (annotations, body, stderr).  Every operand of the wrong sort is reported
+# and the walk goes on below it, so one run lists every misuse; a name in a
+# diagnostic is cut as in a parse error.
+TYPECHECK_FAILURES = [
+    (BODY_SPEC, "  if (x) { x = 1; }\n",
      "error: line 3:7: expected a condition, found an integer expression\n"),
-    ("  int y = x > 0;\n",
+    (BODY_SPEC, "  int y = x > 0;\n",
      "error: line 3:13: expected an integer expression, found a condition\n"),
-    ("  if (x < 1 < 2) { x = 1; }\n",
+    (BODY_SPEC, "  if (x < 1 < 2) { x = 1; }\n",
      "error: line 3:9: expected an integer expression, found a condition\n"),
-    ("  if (!x) { x = 1; }\n",
+    (BODY_SPEC, "  if (!x) { x = 1; }\n",
      "error: line 3:8: expected a condition, found an integer expression\n"),
-    ("  x = x > 0 ==> m > 1;\n  x = -(x == 1) + 1;\n",
+    (BODY_SPEC, "  x = x > 0 ==> m > 1;\n  x = -(x == 1) + 1;\n",
      "error: line 3:13: expected an integer expression, found a condition\n"
      "error: line 3:13: '==>' is only allowed in annotations\n"
      "error: line 3:17: use of undeclared variable 'm'\n"
      "error: line 4:11: expected an integer expression, found a condition\n"),
+    ("requires x + (x > 0) > 1;\n  @ ensures \\result;", "",
+     "error: line 1:21: expected an integer expression, found a condition\n"
+     "error: line 2:13: expected a condition, found an integer expression\n"),
+    (BODY_SPEC, "  int y = " + "z" * 5000 + ";\n",
+     f"error: line 3:11: use of undeclared variable '{'z' * 20}'... (5000 characters)\n"),
 ]
 
 
-@pytest.mark.parametrize("body, stderr", ILL_SORTED,
+@pytest.mark.parametrize("spec, body, stderr", TYPECHECK_FAILURES,
                          ids=["if-integer", "decl-condition", "comparison-chain", "not-integer",
-                              "implies-assigned"])
-def test_ill_sorted_operands_exit_1(tmp_path, capsys, body, stderr):
+                              "implies-assigned", "annotations", "long-undeclared-name"])
+def test_typecheck_failure_stderr_is_pinned(tmp_path, capsys, spec, body, stderr):
     bad = tmp_path / "bad.src"
-    bad.write_text(f"/*@ ensures \\result == x; */\nint f (int x) {{\n{body}  return x;\n}}\n")
+    bad.write_text(f"/*@ {spec} */\nint f (int x) {{\n{body}  return x;\n}}\n")
     assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (1, "", stderr)
-
-
-def test_ill_sorted_annotations_exit_1(tmp_path, capsys):
-    bad = tmp_path / "bad.src"
-    bad.write_text(
-        "/*@ requires x + (x > 0) > 1;\n  @ ensures \\result; */\nint f (int x) {\n"
-        "  return x;\n}\n"
-    )
-    assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (
-        1,
-        "",
-        "error: line 1:21: expected an integer expression, found a condition\n"
-        "error: line 2:13: expected a condition, found an integer expression\n",
-    )
-
-
-def test_over_long_undeclared_name_is_cut_in_the_diagnostic(tmp_path, capsys):
-    bad = tmp_path / "bad.src"
-    bad.write_text(
-        "/*@ ensures \\result == x; */\nint f (int x) {\n  int y = " + "z" * 5000 + ";\n"
-        "  return x;\n}\n"
-    )
-    assert run_cli(capsys, "run", str(bad), "--in", "x=0") == (
-        1, "", f"error: line 3:11: use of undeclared variable '{'z' * 20}'... (5000 characters)\n"
-    )
 
 
 def _nested_ifs(depth):
