@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except OSError as e:
         print(f"error: cannot write report: {e}", file=sys.stderr)
+        # drop the bytes left in stdout's buffer, or flushing them again at
+        # interpreter exit prints a second error and exits 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT_ERROR
     return EXIT_OK
 

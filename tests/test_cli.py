@@ -9,6 +9,7 @@ import pytest
 from faultlines.cli import config_from_args, main
 from faultlines.explorer import ExplorerConfig
 from faultlines.mcs import McsConfig
+from faultlines.records import shown
 from faultlines.solver import DomainConfig
 
 from helpers import CORPUS, DOCS, ROOT, corpus_manifest
@@ -205,11 +206,15 @@ def test_deeply_nested_ce_file_is_usage_error(tmp_path, capsys, depth, message):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_unwritable_report_exits_1(fmt):
+    # stdout stays buffered, as by default, so the report is still in the
+    # buffer when the interpreter exits
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "faultlines.cli", "run", str(CORPUS / "absminus.src"),
              "--in", "i=0", "--in", "j=1", "--format", fmt],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(),
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert proc.returncode == 1
     assert proc.stderr == "error: cannot write report: [Errno 28] No space left on device\n"
@@ -317,6 +322,18 @@ def test_over_long_unknown_input_name_is_cut_in_the_error(capsys):
     assert len(err.encode("utf-8")) < 300
     message = f"counterexample has unknown key(s): '{'k' * 20}'... (5000 characters)"
     assert err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("name", ["j", "j" * 5000])
+def test_missing_parameter_is_named_in_the_error(tmp_path, capsys, name):
+    src = tmp_path / "two.src"
+    src.write_text(f"/*@ ensures \\result == i; */\nint f (int i, int {name}) {{ return i; }}\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--in", "i=0")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"faultlines: error: counterexample misses parameter(s): {shown(name)}"
+    )
 
 
 def test_result_outside_ensures_lists_each_misuse(tmp_path, capsys):
@@ -630,18 +647,11 @@ def _src_env() -> dict:
 
 
 def test_import_does_not_load_numpy():
-    code = "import sys, faultlines, faultlines.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
-    )
-    assert proc.stdout.strip() == "False"
-
-
-def test_reference_import_does_not_load_numpy():
-    code = "import sys, reference; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env(), cwd=str(ROOT / "tests"), check=True)
-    assert proc.stdout.strip() == "False"
+    for modules, cwd in [("faultlines, faultlines.cli", ROOT), ("reference", ROOT / "tests")]:
+        code = f"import sys, {modules}; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_src_env(), cwd=str(cwd), check=True)
+        assert proc.stdout.strip() == "False", modules
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_ast():
