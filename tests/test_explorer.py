@@ -402,6 +402,44 @@ def test_run_certified_deviations_and_valid_mcs_on_corpus():
             assert_mcs_properties_solver(diag.constraints, diag.mcs, config.dom)
 
 
+# per corpus diagnosis: its hard constraints in assertion order (the inputs,
+# then the postcondition or the guard value that forces the last flip) and
+# the ids of its soft constraints
+CORPUS_HARD_AND_SOFT = {
+    "absminus": [
+        (["i_0 = 0", "j_0 = 1",
+          "(i_0 >= j_0 || result_1 = j_0 - i_0) && (i_0 < j_0 || result_1 = i_0 - j_0)"],
+         [0, 1, 4]),
+        (["i_0 = 0", "j_0 = 1", "k_1 = 1 && i_0 != j_0"], [0, 1]),
+    ],
+    "atleastten": [
+        (["x_0 = 10", "(x_0 < 10 || flag_1 = 1) && (x_0 >= 10 || flag_1 = 0)"], [0, 2]),
+        (["x_0 = 10", "x_0 > 10"], [0]),
+    ],
+    "bonus": [
+        (["n_0 = 5", "(n_0 < 5 || r_1 = 2*n_0) && (n_0 >= 5 || r_1 = n_0)"], [0, 1, 3, 5]),
+        (["n_0 = 5", "b_1 = 2"], [0, 1, 3]),
+    ],
+    "capatten": [
+        (["x_0 = 11", "(x_0 <= 10 || y_1 = 10) && (x_0 > 10 || y_1 = x_0)"], [0, 2]),
+    ],
+    "twiceplusone": [(["x_0 = 0", "_ret_1 = 2*x_0 + 1"], [0, 1])],
+}
+
+
+def test_corpus_hard_constraints_and_soft_ids_are_pinned():
+    got = {}
+    for name in corpus_manifest():
+        text, ce_map, entry = corpus_entry(name)
+        fn, g = compile_source(text)
+        report = run(g, ce_for(fn, ce_map), config_from_args(entry["args"]))
+        got[name] = [
+            ([str(c.formula) for c in d.constraints.hard], [c.id for c in d.constraints.soft])
+            for d in report.diagnoses
+        ]
+    assert got == CORPUS_HARD_AND_SOFT
+
+
 def test_run_marking_keeps_first_correction_only():
     fn, g, ce, config = absminus()
     report = run(g, ce, config)
