@@ -15,7 +15,9 @@ copy (flagged, located at the governing decision) so the variable's latest
 version is path-independent afterwards.  Version 0 always denotes the
 input/initial value: parameters start at version 0 and a declaration
 initialiser assigns version 0; ordinary assignments create fresh versions.
-Constraint ids number assignments in that same walk order.
+Assignments, the only soft constraints, are numbered 0, 1, ... in that
+same walk order; the hard constraints of a diagnosis are plain formulas
+and carry no id.
 
 Each expression is lowered to a linear formula over versioned names as it
 is renamed (:func:`~faultlines.formulas.linterm_from_expr`), so the graph
@@ -79,20 +81,18 @@ class Decision:
 
 
 class Cfg:
-    __slots__ = ("name", "param_locs", "nodes", "edges", "entry", "exit", "decision_order",
-                 "result_var", "ensures_loc", "precondition", "postcondition", "id_base")
+    __slots__ = ("name", "nodes", "edges", "entry", "exit", "decision_order",
+                 "result_var", "precondition", "postcondition")
 
-    def __init__(self, name, param_locs, nodes, edges, entry, exit, decision_order,
-                 result_var, ensures_loc, precondition, postcondition, id_base):
+    def __init__(self, name, nodes, edges, entry, exit, decision_order,
+                 result_var, precondition, postcondition):
         # edges: id -> {label: dst}; entry, exit: ids of empty blocks;
         # precondition: over version-0 names, TRUE without `requires`;
-        # postcondition: \result is the final result version;
-        # id_base: the first constraint id after the assignments' ids
-        self.name, self.param_locs, self.nodes, self.edges = name, param_locs, nodes, edges
+        # postcondition: \result is the final result version
+        self.name, self.nodes, self.edges = name, nodes, edges
         self.entry, self.exit, self.decision_order = entry, exit, decision_order
-        self.result_var, self.ensures_loc = result_var, ensures_loc
+        self.result_var = result_var
         self.precondition, self.postcondition = precondition, postcondition
-        self.id_base = id_base
 
 
 class CfgError(Exception):
@@ -254,17 +254,14 @@ def build_cfg(fn: Function) -> Cfg:
     result_name = SsaName(b.result_var, env.get(b.result_var, 0))
     return Cfg(
         name=fn.name,
-        param_locs={p.name: p.loc for p in fn.params},
         nodes=b.nodes,
         edges=b.edges,
         entry=entry,
         exit=exit_,
         decision_order=tuple(b.decision_order),
         result_var=b.result_var,
-        ensures_loc=fn.ensures_loc,
         precondition=bool_expr_to_formula(fn.precondition, _version0) if fn.precondition else TRUE,
         postcondition=bool_expr_to_formula(fn.postcondition, _version0, result_name),
-        id_base=b.cid,
     )
 
 

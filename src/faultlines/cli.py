@@ -2,7 +2,7 @@
 
     faultlines run PROGRAM [--in NAME=INT ...] [--ce-file FILE]
                    [--bcond N] [--bmcs N] [--kmax N] [--domain LO:HI]
-                   [--format text|json] [--dot FILE] [--no-incremental]
+                   [--format text|json] [--dot FILE]
 
 `--domain -8:8` and `--domain=-8:8` are the same: a `LO:HI` value after
 `--domain` is joined to it before parsing, so a negative `LO` is not
@@ -100,11 +100,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument("--format", choices=("text", "json"), default="text")
     runp.add_argument("--dot", help="also dump the DSA control-flow graph to this file")
-    runp.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="use a fresh solver per diagnosed path (identical diagnoses)",
-    )
     return parser
 
 
@@ -233,7 +228,7 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
 
     try:
-        report = run(graph, ce, _explorer_config(args), incremental=not args.no_incremental)
+        report = run(graph, ce, _explorer_config(args))
     except NothingToLocalizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NOT_A_COUNTEREXAMPLE

@@ -41,16 +41,7 @@ from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .cfg import ELSE, NEXT, THEN, Cfg, Decision
-from .formulas import (
-    Atom,
-    Constraint,
-    ConstraintKind,
-    ConstraintSet,
-    LinTerm,
-    SsaName,
-    eval_formula,
-    negate,
-)
+from .formulas import Atom, ConstraintSet, LinTerm, SsaName, eval_formula, negate
 from .mcs import McsConfig, McsResult, enumerate_on
 from .records import shown, validated
 from .solver import DomainConfig, Solver
@@ -97,7 +88,12 @@ class Counterexample(NamedTuple):
             raise ExplorerError(
                 f"counterexample has unknown key(s): {', '.join(map(shown, extra))}"
             )
-        return Counterexample(tuple((p, int(mapping[p])) for p in params))
+        bad = [p for p in params if type(mapping[p]) is not int]
+        if bad:
+            raise ExplorerError(
+                f"counterexample has non-integer value(s) for {', '.join(map(shown, bad))}"
+            )
+        return Counterexample(tuple((p, mapping[p]) for p in params))
 
 
 @validated
@@ -192,26 +188,11 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def input_constraints(cfg: Cfg, ce: Counterexample) -> tuple:
-    out = []
-    for i, (name, value) in enumerate(ce.items):
-        out.append(
-            Constraint(
-                cfg.id_base + i,
-                Atom("==", LinTerm.var(SsaName(name, 0)), LinTerm.constant(value)),
-                ConstraintKind.INPUT,
-                cfg.param_locs[name],
-            )
-        )
-    return tuple(out)
-
-
-def postcondition_constraint(cfg: Cfg, ce: Counterexample) -> Constraint:
-    return Constraint(
-        cfg.id_base + len(ce.items),
-        cfg.postcondition,
-        ConstraintKind.POSTCONDITION,
-        cfg.ensures_loc,
+def input_constraints(ce: Counterexample) -> tuple:
+    """The hard equalities `name_0 = value`, in parameter order."""
+    return tuple(
+        Atom("==", LinTerm.var(SsaName(name, 0)), LinTerm.constant(value))
+        for name, value in ce.items
     )
 
 
@@ -308,7 +289,7 @@ class _Backend:
 
     def __init__(self, dom: DomainConfig, inputs: tuple, incremental: bool = True):
         self.dom = dom
-        self.inputs = inputs
+        self.inputs = inputs  # the input equalities, hard formulas
         self.incremental = incremental
         self.solver: Optional[Solver] = None
         self.frame_keys: list = []  # the decision step that opens each frame
@@ -318,15 +299,15 @@ class _Backend:
 
         keys: ((node, taken), ...) decision steps delimiting the segments.
         segments: len(keys)+1 groups of soft constraints in path order.
-        extra_hard: constraints (postcondition or deviation guard) that
-        hold only for this diagnosis.
+        extra_hard: formulas (the postcondition or a deviation's guard
+        value) that are hard only for this diagnosis.
         """
         if self.solver is None or not self.incremental:
             solver = Solver(self.dom)
             if self.solver is not None:
                 solver.stats = self.solver.stats
-            for c in self.inputs:
-                solver.assert_hard(c.formula)
+            for f in self.inputs:
+                solver.assert_hard(f)
             for c in segments[0]:
                 solver.assert_soft(c)
             self.solver, self.frame_keys = solver, []
@@ -344,8 +325,8 @@ class _Backend:
             for c in segment:
                 solver.assert_soft(c)
         fid = solver.push()
-        for c in extra_hard:
-            solver.assert_hard(c.formula)
+        for f in extra_hard:
+            solver.assert_hard(f)
         result = enumerate_on(solver, tuple(solver.selectors), config)
         solver.pop(fid)
         return result
@@ -354,13 +335,6 @@ class _Backend:
 # ---------------------------------------------------------------------------
 # Diagnoses
 # ---------------------------------------------------------------------------
-
-
-def _deviation_requirement(cfg: Cfg, step: DecisionStep, cid: int) -> Constraint:
-    """The guard value that forces execution down the flipped branch."""
-    node = cfg.nodes[step.node]
-    formula = node.guard if step.taken == THEN else negate(node.guard)
-    return Constraint(cid, formula, ConstraintKind.GUARD, node.loc)
 
 
 def _deviated_conditions(cfg: Cfg, trace: PathTrace) -> tuple:
@@ -386,15 +360,17 @@ def diagnose(
     the postcondition; a corrected deviated trace over the path before
     its last flip, against the guard value that forces that flip.
     """
-    backend = backend or _Backend(config.dom, input_constraints(cfg, ce))
+    backend = backend or _Backend(config.dom, input_constraints(ce))
     flips = [i for i, s in enumerate(trace.decisions) if s.deviated]
     if flips:
         kind, last = DEVIATION_CORRECTS, flips[-1]
-        cid = cfg.id_base + len(ce.items) + 1 + last
-        extra = _deviation_requirement(cfg, trace.decisions[last], cid)
+        # the guard value that forces execution down the flipped branch
+        step = trace.decisions[last]
+        guard = cfg.nodes[step.node].guard
+        extra = guard if step.taken == THEN else negate(guard)
     else:
         kind, last = INITIAL_PATH, len(trace.decisions)
-        extra = postcondition_constraint(cfg, ce)
+        extra = cfg.postcondition
     keys = tuple((s.node, s.taken) for s in trace.decisions[:last])
     segments = trace.segments[: last + 1]
     result = backend.enumerate_for(keys, segments, (extra,), config.mcs)
@@ -433,7 +409,7 @@ def run(
         raise NothingToLocalizeError("counterexample does not violate the postcondition")
 
     stats = Statistics()
-    backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
+    backend = _Backend(config.dom, input_constraints(ce), incremental)
     diagnoses = [diagnose(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1

@@ -2,8 +2,10 @@
 
 Values here are immutable and hashable: versioned variable names
 (:class:`SsaName`), canonical linear terms (:class:`LinTerm`), boolean
-formulas over linear atoms (:class:`Formula`), and provenance-tagged
-constraints (:class:`Constraint` / :class:`ConstraintSet`).  Formulas
+formulas over linear atoms (:class:`Formula`), and a path's constraint
+system (:class:`ConstraintSet`): its hard constraints are plain formulas,
+and only its soft ones, the suspects a report can name, are numbered
+:class:`Constraint` records with a kind and a source line.  Formulas
 have no negation node: they are built in negation normal form, and
 :func:`negate` flips atom operators and swaps `And`/`Or`.
 
@@ -300,19 +302,13 @@ def bool_expr_to_formula(b: BoolExpr, var, result: SsaName | None = None, *,
 
 
 class ConstraintKind(enum.Enum):
-    INPUT = "input"
     ASSIGNMENT = "assignment"
     SYNTHETIC_COPY = "synthetic_copy"
-    GUARD = "guard"
-    POSTCONDITION = "postcondition"
-
-    @property
-    def is_soft(self) -> bool:
-        return self in (ConstraintKind.ASSIGNMENT, ConstraintKind.SYNTHETIC_COPY)
 
 
 class Constraint(NamedTuple):
-    """A formula with provenance: stable id, kind and source line."""
+    """A soft constraint: its formula with the id, kind and source line
+    that a report names it by."""
 
     id: int
     formula: Formula
@@ -342,24 +338,25 @@ def assign_to_constraint(
 class ConstraintSet(NamedTuple):
     """Hard/soft split of a path's constraints.
 
-    Input, postcondition and deviation-guard constraints are hard;
-    assignments and synthetic copies are soft (removal candidates).
+    The hard part is plain formulas: the input equalities, then the
+    postcondition or the guard value that a deviation forces.  The soft
+    part is the path's assignments and synthetic copies (the removal
+    candidates), as :class:`Constraint` records with unique ids.
     """
 
     hard: tuple
     soft: tuple
 
     def _validate(self) -> None:
-        for c in self.hard:
-            if c.kind.is_soft:
-                raise ValueError(f"{c.kind.value} constraint cannot be hard: {c}")
+        for f in self.hard:
+            if not isinstance(f, Formula):
+                raise ValueError(f"hard entry is not a formula: {f!r}")
         for c in self.soft:
-            if not c.kind.is_soft:
-                raise ValueError(f"{c.kind.value} constraint cannot be soft: {c}")
-        ids = [c.id for c in self.hard] + [c.id for c in self.soft]
-        if len(ids) != len(set(ids)):
-            raise ValueError("constraint ids must be unique")
+            if not isinstance(c, Constraint):
+                raise ValueError(f"soft entry is not a constraint: {c!r}")
+        if len({c.id for c in self.soft}) != len(self.soft):
+            raise ValueError("soft constraint ids must be unique")
 
     @staticmethod
-    def of(hard: Iterable[Constraint], soft: Iterable[Constraint]) -> "ConstraintSet":
+    def of(hard: Iterable[Formula], soft: Iterable[Constraint]) -> "ConstraintSet":
         return ConstraintSet(tuple(hard), tuple(soft))

@@ -150,7 +150,7 @@ class Param(Node):
 
 class Function(Node):
     # params and body are tuples; precondition is a BoolExpr or None
-    __slots__ = ("name", "params", "body", "precondition", "postcondition", "loc", "ensures_loc")
+    __slots__ = ("name", "params", "body", "precondition", "postcondition", "loc")
 
     @property
     def param_names(self) -> tuple:
@@ -310,8 +310,8 @@ class _Parser:
             self.expect("ident", "class name")
             self.expect("{")
             wrapped = True
-        pre, post, ensures_loc = self.parse_annotations()
-        fn = self.parse_function(pre, post, ensures_loc)
+        pre, post = self.parse_annotations()
+        fn = self.parse_function(pre, post)
         if wrapped:
             self.expect("}")
         self.expect("eof", "end of input")
@@ -320,7 +320,6 @@ class _Parser:
     def parse_annotations(self):
         pre: Optional[BoolExpr] = None
         post: Optional[BoolExpr] = None
-        ensures_loc: Optional[SourceLoc] = None
         while self.at("annot_open"):
             self.next()
             while not self.at("annot_close"):
@@ -336,16 +335,15 @@ class _Parser:
                     if post is not None:
                         raise ParseError("duplicate ensures clause", t.loc)
                     post = self.parse_expr()
-                    ensures_loc = t.loc
                     self.expect(";")
                 else:
                     raise ParseError("expected 'requires' or 'ensures' in annotation", t.loc)
             self.next()
         if post is None:
             raise ParseError("missing 'ensures' annotation before function", self.peek().loc)
-        return pre, post, ensures_loc
+        return pre, post
 
-    def parse_function(self, pre, post, ensures_loc) -> Function:
+    def parse_function(self, pre, post) -> Function:
         kw = self.expect("int", "function return type 'int'")
         name = self.expect("ident", "function name")
         self.expect("(")
@@ -373,7 +371,6 @@ class _Parser:
             precondition=pre,
             postcondition=post,
             loc=kw.loc,
-            ensures_loc=ensures_loc,
         )
 
     def parse_stmts(self) -> list[Stmt]:

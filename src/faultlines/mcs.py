@@ -136,6 +136,6 @@ def enumerate_mcs(
     when the hard constraints alone are not.
     """
     solver = Solver(dom)
-    for c in cs.hard:
-        solver.assert_hard(c.formula)
+    for f in cs.hard:
+        solver.assert_hard(f)
     return enumerate_on(solver, [solver.assert_soft(c) for c in cs.soft], config)

@@ -17,7 +17,8 @@ the selector.
 
 Incrementality: assertions live on a frame stack.  :meth:`Solver.push`
 opens a frame and :meth:`Solver.pop` restores the exact pre-push state
-(domains, constraints, selectors, registered variables); statistics only
+(constraints, selectors, registered variables; domains change only
+inside :meth:`Solver.check`, which restores them); statistics only
 ever grow.  Soft constraints are guarded by 0/1 selector variables, which
 callers constrain with ordinary formulas through :meth:`Solver.assert_hard`;
 unfixed selectors are decision variables searched after the integers.
@@ -142,8 +143,7 @@ class Solver:
     # -- frames ---------------------------------------------------------------
 
     def push(self) -> int:
-        frame = (len(self.trail), len(self.props), len(self.names), len(self.selectors))
-        self.frames.append(frame)
+        self.frames.append((len(self.props), len(self.names), len(self.selectors)))
         return len(self.frames)
 
     def pop(self, frame_id: Optional[int] = None) -> None:
@@ -153,7 +153,7 @@ class Solver:
             frame_id = len(self.frames)
         if not 1 <= frame_id <= len(self.frames):
             raise SolverUsageError(f"pop targets dead frame {frame_id}")
-        trail_mark, props_len, vars_len, sels_len = self.frames[frame_id - 1]
+        props_len, vars_len, sels_len = self.frames[frame_id - 1]
         del self.frames[frame_id - 1 :]
         for p in reversed(self.props[props_len:]):
             for v in p.watch_idxs:
@@ -161,7 +161,6 @@ class Solver:
                 assert top is p
         del self.props[props_len:]
         del self.selectors[sels_len:]
-        self._undo_to(trail_mark)
         for name in self.names[vars_len:]:
             del self.ids[name]
         for column in (self.names, self.lo, self.hi, self.is_sel, self.watchers):

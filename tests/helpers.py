@@ -148,6 +148,10 @@ _MAX_ORACLE_SOFT = 12
 _MAX_GRID_CELLS = 5_000_000
 
 
+def _formulas(constraints) -> tuple:
+    return tuple(c.formula for c in constraints)
+
+
 def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -> set:
     """Exhaustive MCS oracle; returns the set of MCSs as id-frozensets.
 
@@ -158,9 +162,7 @@ def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -
     if len(cs.soft) > _MAX_ORACLE_SOFT:
         raise McsUsageError(f"oracle limited to {_MAX_ORACLE_SOFT} soft constraints")
     n = len(cs.soft)
-    names = sorted(
-        set().union(*(formula_vars(c.formula) for c in cs.hard + cs.soft), set())
-    )
+    names = sorted(set().union(*map(formula_vars, cs.hard + _formulas(cs.soft)), set()))
     width = dom.hi - dom.lo + 1
     if width ** max(len(names), 1) > _MAX_GRID_CELLS:
         raise McsUsageError("domain box too large for the exhaustive oracle")
@@ -169,14 +171,14 @@ def bruteforce_mcs(cs: ConstraintSet, dom: DomainConfig = DomainConfig(-4, 4)) -
         axes = np.meshgrid(*([np.arange(dom.lo, dom.hi + 1)] * len(names)), indexing="ij")
         grids = {name: ax.ravel() for name, ax in zip(names, axes)}
         hard_ok = np.ones(width ** len(names), dtype=bool)
-        for c in cs.hard:
-            hard_ok &= eval_formula_grid(c.formula, grids)
+        for f in cs.hard:
+            hard_ok &= eval_formula_grid(f, grids)
         packed = np.zeros(width ** len(names), dtype=np.int64)
         for i, c in enumerate(cs.soft):
             packed |= eval_formula_grid(c.formula, grids).astype(np.int64) << i
         masks = set(int(m) for m in np.unique(packed[hard_ok]))
     else:
-        hard_sat = all(eval_formula(c.formula, {}) for c in cs.hard)
+        hard_sat = all(eval_formula(f, {}) for f in cs.hard)
         if not hard_sat:
             masks = set()
         else:
@@ -240,7 +242,7 @@ def reference_run(cfg, ce, config=None, incremental: bool = True):
         raise NothingToLocalizeError("counterexample does not violate the postcondition")
 
     stats = Statistics()
-    backend = _Backend(config.dom, input_constraints(cfg, ce), incremental)
+    backend = _Backend(config.dom, input_constraints(ce), incremental)
     diagnoses = [diagnose(trace0, cfg, ce, config, backend=backend)]
     stats.paths_explored += 1
     stats.mcs_enumerations += 1
@@ -338,10 +340,7 @@ def random_system(rng, max_vars=4, max_soft=8, max_hard=2) -> ConstraintSet:
     names = [SsaName(f"v{i}", 0) for i in range(n_vars)]
     n_hard = int(rng.integers(0, max_hard + 1))
     n_soft = int(rng.integers(1, max_soft + 1))
-    hard = [
-        Constraint(100 + i, random_formula(rng, names), ConstraintKind.GUARD, _loc())
-        for i in range(n_hard)
-    ]
+    hard = [random_formula(rng, names) for _ in range(n_hard)]
     soft = [
         Constraint(i, random_atom(rng, names), ConstraintKind.ASSIGNMENT, _loc())
         for i in range(n_soft)
@@ -415,10 +414,8 @@ def random_program(rng, max_params=3, max_depth=2) -> str:
 
 
 def is_correction_set(cs: ConstraintSet, ids: frozenset, dom: DomainConfig) -> bool:
-    keep = [c.formula for c in cs.hard] + [c.formula for c in cs.soft if c.id not in ids]
-    names = set().union(
-        set(), *(formula_vars(c.formula) for c in list(cs.hard) + list(cs.soft))
-    )
+    keep = list(cs.hard) + [c.formula for c in cs.soft if c.id not in ids]
+    names = set().union(set(), *map(formula_vars, cs.hard + _formulas(cs.soft)))
     return exhaustive_sat(keep, dom, names) is not None
 
 
@@ -436,8 +433,8 @@ def solver_sat_without(cs: ConstraintSet, removed: frozenset, dom: DomainConfig)
     from faultlines.solver import UNSAT, Solver
 
     s = Solver(dom)
-    for c in cs.hard:
-        s.assert_hard(c.formula)
+    for f in cs.hard:
+        s.assert_hard(f)
     for c in cs.soft:
         if c.id not in removed:
             s.assert_hard(c.formula)

@@ -294,7 +294,6 @@ def test_build_requires_return():
             "/*@ ensures \\result == x; */ int ok (int x) { return x; }"
         ).postcondition,
         loc=SourceLoc(1, 1),
-        ensures_loc=SourceLoc(1, 1),
     )
     with pytest.raises(CfgError):
         build_cfg(fn)
@@ -336,14 +335,15 @@ def test_build_refuses_result_in_requires():
         build_cfg(fn)
 
 
-def test_id_base_follows_the_assignment_ids():
-    # assignments are numbered 0 .. id_base - 1; inputs and guards come after
+def test_assignment_ids_are_0_to_n_minus_1():
+    # only the n assignments (the soft constraints) are numbered: 0 .. n - 1
     rng = np.random.default_rng(11)
     texts = [corpus_entry(name)[0] for name in corpus_manifest()]
     texts += [random_program(rng, max_params=3, max_depth=2) for _ in range(20)]
     for text in texts:
         _, g = compile_source(text)
-        assert [a.constraint.id for a in iter_assignments(g)] == list(range(g.id_base))
+        ids = [a.constraint.id for a in iter_assignments(g)]
+        assert ids == list(range(len(ids)))
 
 
 def test_branch_local_declaration_stays_local():

@@ -572,21 +572,6 @@ def test_bcond_zero_reports_only_initial(capsys):
     assert [d["kind"] for d in doc["diagnoses"]] == ["initial_path"]
 
 
-def test_no_incremental_changes_statistics_only(capsys):
-    base = corpus_args("absminus") + ["--format", "json"]
-    code1, out1, _ = run_cli(capsys, *base)
-    code2, out2, _ = run_cli(capsys, *base, "--no-incremental")
-    assert code1 == code2 == 0
-    doc1, doc2 = json.loads(out1), json.loads(out2)
-    assert doc1["settings"]["incremental"] is True
-    assert doc2["settings"]["incremental"] is False
-    s1, s2 = doc1.pop("statistics"), doc2.pop("statistics")
-    doc1["settings"].pop("incremental")
-    doc2["settings"].pop("incremental")
-    assert doc1 == doc2
-    assert s1["solver_assertions"] < s2["solver_assertions"]
-
-
 def test_dot_dump(tmp_path, capsys):
     dot = tmp_path / "absminus.dot"
     code, _, _ = run_cli(capsys, *corpus_args("absminus"), "--dot", str(dot))
@@ -652,6 +637,15 @@ def test_import_does_not_load_numpy():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_src_env(), cwd=str(cwd), check=True)
         assert proc.stdout.strip() == "False", modules
+
+
+def test_readme_library_example_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_readme_example.py")],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "diagnosis 1: initial path" in proc.stdout.splitlines()
 
 
 def test_cold_import_loads_no_dataclasses_inspect_or_ast():

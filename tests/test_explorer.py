@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from faultlines.cfg import THEN, ELSE
 from faultlines.explorer import (
+    Counterexample,
     DeviationUnreachedError,
     ExplorerConfig,
+    ExplorerError,
     NothingToLocalizeError,
     OverflowAbandonedError,
     diagnose,
@@ -44,6 +46,28 @@ def absminus():
 
 def _collected_texts(trace):
     return [str(c.formula) for segment in trace.segments for c in segment]
+
+
+# --- counterexamples ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mapping, refused",
+    [
+        ({"i": 0.5, "j": 1}, "'i'"),
+        ({"i": 0, "j": True}, "'j'"),
+        ({"i": "7", "j": False}, "'i', 'j'"),
+        ({"i": 7.0, "j": None}, "'i', 'j'"),
+        ({"i": np.int64(7), "j": 1}, "'i'"),
+        ({"i": 0, "k" * 50: [1]}, "'kkkkkkkkkkkkkkkkkkkk'... (50 characters)"),
+    ],
+    ids=["float", "bool", "str-and-bool", "whole-float-and-none", "numpy-int", "long-key"],
+)
+def test_counterexample_refuses_a_value_that_is_not_an_int(mapping, refused):
+    with pytest.raises(ExplorerError) as e:
+        Counterexample.of(mapping, mapping)
+    assert str(e.value) == f"counterexample has non-integer value(s) for {refused}"
+    assert Counterexample.of({"i": 0, "j": -1}, ["i", "j"]).items == (("i", 0), ("j", -1))
 
 
 # --- propagate -------------------------------------------------------------------
@@ -434,7 +458,7 @@ def test_corpus_hard_constraints_and_soft_ids_are_pinned():
         fn, g = compile_source(text)
         report = run(g, ce_for(fn, ce_map), config_from_args(entry["args"]))
         got[name] = [
-            ([str(c.formula) for c in d.constraints.hard], [c.id for c in d.constraints.soft])
+            ([str(f) for f in d.constraints.hard], [c.id for c in d.constraints.soft])
             for d in report.diagnoses
         ]
     assert got == CORPUS_HARD_AND_SOFT
@@ -457,6 +481,8 @@ def test_run_incremental_matches_fresh_solvers():
         slow = run(g, ce, config, incremental=False)
         doc_fast = report_document(fast)
         doc_slow = report_document(slow)
+        assert doc_fast["settings"]["incremental"] is True, name
+        assert doc_slow["settings"]["incremental"] is False, name
         for doc in (doc_fast, doc_slow):
             doc.pop("statistics")
             doc["settings"].pop("incremental")

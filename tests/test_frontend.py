@@ -392,7 +392,7 @@ def _result_in_requires_and_body():
     ret = Return(Arith("*", ResultRef(at(6, 10)), VarRef("x", at(6, 20)), at(6, 15)), at(6, 3))
     return Function(
         name=fn.name, params=fn.params, body=(ret,), precondition=fn.postcondition,
-        postcondition=fn.postcondition, loc=fn.loc, ensures_loc=fn.ensures_loc,
+        postcondition=fn.postcondition, loc=fn.loc,
     )
 
 

@@ -46,9 +46,9 @@ def absminus_postcondition():
 
 def c1_system() -> ConstraintSet:
     hard = [
-        _c(100, Atom("==", var(I0), const(0)), ConstraintKind.INPUT, 6),
-        _c(101, Atom("==", var(J0), const(1)), ConstraintKind.INPUT, 6),
-        _c(102, absminus_postcondition(), ConstraintKind.POSTCONDITION, 3),
+        Atom("==", var(I0), const(0)),
+        Atom("==", var(J0), const(1)),
+        absminus_postcondition(),
     ]
     soft = [
         _c(0, Atom("==", var(K0), const(0)), ConstraintKind.ASSIGNMENT, 8),
@@ -60,14 +60,9 @@ def c1_system() -> ConstraintSet:
 
 def c2_system() -> ConstraintSet:
     hard = [
-        _c(100, Atom("==", var(I0), const(0)), ConstraintKind.INPUT, 6),
-        _c(101, Atom("==", var(J0), const(1)), ConstraintKind.INPUT, 6),
-        _c(
-            102,
-            And((Atom("==", var(K1), const(1)), Atom("!=", var(I0), var(J0)))),
-            ConstraintKind.GUARD,
-            11,
-        ),
+        Atom("==", var(I0), const(0)),
+        Atom("==", var(J0), const(1)),
+        And((Atom("==", var(K1), const(1)), Atom("!=", var(I0), var(J0)))),
     ]
     soft = [
         _c(0, Atom("==", var(K0), const(0)), ConstraintKind.ASSIGNMENT, 8),
@@ -159,8 +154,8 @@ def test_bruteforce_size_guard():
 
 def test_hard_unsat_flag():
     hard = [
-        _c(100, Atom("==", var(I0), const(0)), ConstraintKind.INPUT),
-        _c(101, Atom("==", var(I0), const(1)), ConstraintKind.GUARD),
+        Atom("==", var(I0), const(0)),
+        Atom("==", var(I0), const(1)),
     ]
     soft = [_c(0, Atom("==", var(K0), const(0)), ConstraintKind.ASSIGNMENT)]
     result = enumerate_mcs(ConstraintSet.of(hard, soft))
@@ -176,7 +171,7 @@ def test_flag_matches_exhaustive_satisfiability_random_systems():
     seen = set()
     for _ in range(120):
         cs = random_system(rng, max_vars=3, max_soft=6, max_hard=3)
-        hard = [c.formula for c in cs.hard]
+        hard = list(cs.hard)
         if exhaustive_sat(hard, dom) is None:
             expected = HARD_UNSAT
         elif exhaustive_sat(hard + [c.formula for c in cs.soft], dom) is not None:
@@ -198,7 +193,7 @@ def test_results_sorted_by_cardinality_then_latest_first():
     x, y = SsaName("x", 0), SsaName("y", 0)
     # every correction set must drop the hard x-conflict plus one y-atom,
     # so both MCSs have size 2 and only the tie-break orders them
-    hard = [_c(100, Atom("==", var(x), const(0)), ConstraintKind.INPUT)]
+    hard = [Atom("==", var(x), const(0))]
     soft = [
         _c(0, Atom("==", var(x), const(1)), ConstraintKind.ASSIGNMENT),
         _c(1, Atom("==", var(y), const(1)), ConstraintKind.ASSIGNMENT),
@@ -219,7 +214,7 @@ def test_results_sorted_by_cardinality_then_latest_first():
 
 def test_equal_size_mcs_come_latest_in_soft_list_first():
     x, y = SsaName("x", 0), SsaName("y", 0)
-    hard = [_c(100, Atom("==", var(x), const(0)), ConstraintKind.INPUT)]
+    hard = [Atom("==", var(x), const(0))]
     soft = [
         _c(0, Atom("==", var(y), const(1)), ConstraintKind.ASSIGNMENT),
         _c(1, Atom("==", var(x), var(y)), ConstraintKind.ASSIGNMENT),
@@ -240,8 +235,8 @@ def test_b_mcs_truncates():
 def test_k_max_limits_cardinality():
     x, y = SsaName("x", 0), SsaName("y", 0)
     hard = [
-        _c(100, Atom("==", var(x), const(0)), ConstraintKind.INPUT),
-        _c(101, Atom("==", var(y), const(0)), ConstraintKind.INPUT),
+        Atom("==", var(x), const(0)),
+        Atom("==", var(y), const(0)),
     ]
     soft = [
         _c(0, Atom("==", var(x), const(1)), ConstraintKind.ASSIGNMENT),

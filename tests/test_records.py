@@ -18,8 +18,6 @@ from faultlines.formulas import (
     And,
     Atom,
     BoolConst,
-    Constraint,
-    ConstraintKind,
     ConstraintSet,
     LinTerm,
     Or,
@@ -72,15 +70,14 @@ def test_ssa_names_sort_by_base_then_version():
 
 def test_constraint_set_rejects_misplaced_kinds_and_duplicate_ids():
     soft = assign_to_constraint(X0, LinTerm.constant(1), AT, cid=0)
-    guard = Constraint(1, LE, ConstraintKind.GUARD, AT)
-    with pytest.raises(ValueError, match=r"^assignment constraint cannot be hard: x_0 = 1"):
+    with pytest.raises(ValueError, match=r"^hard entry is not a formula: Constraint\(id=0, "):
         ConstraintSet((soft,), ())
-    with pytest.raises(ValueError, match=r"^guard constraint cannot be soft: x_0 <= 3"):
-        ConstraintSet((), (guard,))
-    with pytest.raises(ValueError, match=r"^constraint ids must be unique$"):
+    with pytest.raises(ValueError, match=r"^soft entry is not a constraint: Atom\(op='<=', "):
+        ConstraintSet((), (LE,))
+    with pytest.raises(ValueError, match=r"^soft constraint ids must be unique$"):
         ConstraintSet((), (soft, soft))
-    cs = ConstraintSet.of([guard], [soft])
-    assert (cs.hard, cs.soft) == ((guard,), (soft,))
+    cs = ConstraintSet.of([LE], [soft])
+    assert (cs.hard, cs.soft) == ((LE,), (soft,))
 
 
 # --- AST and source locations -----------------------------------------------------
@@ -97,7 +94,7 @@ def test_ast_equality_and_hash_ignore_locations():
     assert sum_a != Arith("+", x_a, IntLit(2, a), a)
     fn = parse_program("/*@ ensures \\result == x; */ int f (int x) { return x; }")
     moved = parse_program("\n\n/*@\n @ ensures \\result == x;\n @*/\nint  f(int x){\n return x;}")
-    assert fn.loc != moved.loc and fn.ensures_loc != moved.ensures_loc
+    assert fn.loc != moved.loc
     assert fn == moved and hash(fn) == hash(moved)
     assert fn != parse_program("/*@ ensures \\result == x; */ int g (int x) { return x; }")
 
@@ -125,7 +122,7 @@ _CHILDREN = (
 
 
 def _ast_locs(node):
-    """Every location an AST holds, the function's `ensures_loc` included."""
+    """Every location an AST holds."""
     if isinstance(node, tuple) and not hasattr(node, "loc"):
         for item in node:
             yield from _ast_locs(item)
@@ -133,8 +130,6 @@ def _ast_locs(node):
     if node is None or isinstance(node, (int, str)):
         return
     yield node.loc
-    if hasattr(node, "ensures_loc"):
-        yield node.ensures_loc
     for name in _CHILDREN:
         if hasattr(node, name):
             yield from _ast_locs(getattr(node, name))
