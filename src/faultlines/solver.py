@@ -386,8 +386,8 @@ class Solver:
     def check(self) -> Optional[Sat]:
         """Search for a model of the current assertions.
 
-        The solver's observable state is untouched by the call; only the
-        statistics advance.
+        The solver's observable state is untouched by the call, also when
+        the search raises; only the statistics advance.
         """
         self.stats["checks"] += 1
         mark = len(self.trail)
@@ -395,9 +395,9 @@ class Solver:
             if not p.queued:
                 p.queued = True
                 self.queue.append(p)
-        found = self._propagate_all() and self._dfs()
-        result: Optional[Sat] = UNSAT
-        if found:
+        try:
+            if not (self._propagate_all() and self._dfs()):
+                return UNSAT
             model = {}
             disabled = []
             for idx, name in enumerate(self.names):
@@ -407,9 +407,10 @@ class Solver:
             for sel in self.selectors:
                 if self.lo[self.ids[sel.var]] == 0:
                     disabled.append(sel.id)
-            result = Sat(model, frozenset(disabled))
-        self._undo_to(mark)
-        return result
+            return Sat(model, frozenset(disabled))
+        finally:  # a search that raised leaves queued propagators behind
+            self._drain_failed()
+            self._undo_to(mark)
 
     def _pick_var(self) -> Optional[int]:
         best = None

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,37 @@ def test_pop_base_frame_errors():
     s.pop(fid)
     with pytest.raises(SolverUsageError):
         s.pop(fid)
+
+
+def _depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_check_that_raises_leaves_the_state_as_it_was():
+    # the search recurses once per variable it labels: a recursion limit a
+    # few frames above this one makes it raise part-way down a 60-link chain
+    s = Solver(SMALL)
+    for i in range(59):
+        s.assert_hard(Atom("<=", var("x", i), var("x", i + 1)))
+    fid = s.push()
+    s.assert_hard(Atom(">=", var("x", 59), const(0)))
+    before = (list(s.lo), list(s.hi))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 20)
+    try:
+        with pytest.raises(RecursionError):
+            s.check()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (s.lo, s.hi, s.trail, list(s.queue)) == (*before, [], [])
+    s.pop(fid)
+    fresh = Solver(SMALL)
+    for i in range(59):
+        fresh.assert_hard(Atom("<=", var("x", i), var("x", i + 1)))
+    assert s.check() == fresh.check()
 
 
 # --- assertions ----------------------------------------------------------------
