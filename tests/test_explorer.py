@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import product
 
 import numpy as np
@@ -492,6 +494,53 @@ def test_run_incremental_matches_fresh_solvers():
         assert fast.stats.solver_propagations == slow.stats.solver_propagations, name
         if len(g.decision_order) >= 2:
             assert fast.stats.solver_assertions < slow.stats.solver_assertions, name
+
+
+def _tritype_mutants():
+    """(name, source, inputs) of each hand-seeded Tritype mutant of the benchmark."""
+    directory = ROOT / "perfbench" / "tritype"
+    lines = (directory / "tritype.src").read_text().split("\n")
+    for entry in json.loads((directory / "mutants.json").read_text()):
+        mutated = list(lines)
+        i = entry["line"] - 1
+        mutated[i] = mutated[i].replace(entry["find"], entry["replace"])
+        yield entry["name"], "\n".join(mutated), entry["inputs"]
+
+
+# per Tritype mutant at --bcond 3 on [-128, 127]: the digest of its report
+# without `solver_propagations`, its checks, assertions and enumerations, and
+# the most propagations its localization may take
+TRITYPE_PINS = {
+    "constant_ik": ("9e121b1b2a122a0f", 22, 42, 6, 11024),
+    "constant_jk": ("e60b424bdba0815d", 21, 40, 5, 7499),
+    "operator_equilateral": ("ce7797e23c389075", 21, 40, 5, 7520),
+    "operator_inequality": ("1898ff4fb351dec5", 15, 34, 5, 5470),
+    "result_scalene": ("93ee70c30901a80a", 5, 16, 1, 127),
+    "result_isosceles_ik": ("4dd7b0c3891aca86", 13, 29, 3, 5698),
+    "dropped_zero_side": ("b0b509a73474b521", 6, 14, 1, 630),
+    "dropped_equilateral": ("2b963d3d435785eb", 8, 18, 1, 8063),
+}
+
+
+def test_tritype_mutant_reports_are_pinned():
+    config = config_from_args(["--bcond", "3", "--domain=-128:127"])
+    got = {}
+    for name, text, inputs in _tritype_mutants():
+        fn, g = compile_source(text)
+        ce = ce_for(fn, inputs)
+        report = run(g, ce, config)
+        doc = report_document(report)
+        propagations = doc["statistics"].pop("solver_propagations")
+        body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        stats = report.stats
+        got[name] = (hashlib.sha256(body).hexdigest()[:16], stats.solver_checks,
+                     stats.solver_assertions, stats.mcs_enumerations)
+        assert propagations <= TRITYPE_PINS[name][4], name
+        # fresh solvers per enumeration run the same searches
+        slow = run(g, ce, config, incremental=False).stats
+        assert (slow.solver_checks, slow.solver_propagations) == (
+            stats.solver_checks, stats.solver_propagations), name
+    assert got == {name: pin[:4] for name, pin in TRITYPE_PINS.items()}
 
 
 def test_run_is_deterministic():
