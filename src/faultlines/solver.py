@@ -3,11 +3,14 @@
 The engine decides conjunctions of :class:`~faultlines.formulas.Formula`
 over bounded integer variables.  It combines bounds-consistency interval
 propagation with depth-first search that labels one variable at a time
-(first-fail variable choice, smallest value first).  Every linear atom
-compiles to one interval node `lo <= sum(c*x) <= hi`, with no lower
-bound for `<`, `<=`, `>` and `>=`, and `d != 0` to the disjunction
-`d < 0 || d > 0`.  A disjunction prunes only once all but one of its
-disjuncts are false.  Complete on finite boxes.
+(first-fail variable choice, smallest value first).  When a check's first
+decision labels an integer `x` and finds its model at `v` only after
+refuting every smaller value, the check learns the bound `x >= v`, which
+the assertions that proved it imply.  Every linear atom compiles to one
+interval node `lo <= sum(c*x) <= hi`, with no lower bound for `<`, `<=`,
+`>` and `>=`, and `d != 0` to the disjunction `d < 0 || d > 0`.  A
+disjunction prunes only once all but one of its disjuncts are false.
+Complete on finite boxes.
 
 Every asserted formula becomes one propagator: its compiled node, the
 variables it watches and an optional selector.  Without a selector the
@@ -17,11 +20,17 @@ the selector.
 
 Incrementality: assertions live on a frame stack.  :meth:`Solver.push`
 opens a frame and :meth:`Solver.pop` restores the exact pre-push state
-(constraints, selectors, registered variables; domains change only
-inside :meth:`Solver.check`, which restores them); statistics only
-ever grow.  Soft constraints are guarded by 0/1 selector variables, which
-callers constrain with ordinary formulas through :meth:`Solver.assert_hard`;
-unfixed selectors are decision variables searched after the integers.
+(constraints, selectors, registered variables, learned bounds; domains
+change only inside :meth:`Solver.check`, which restores them); statistics
+only ever grow.  A learned bound belongs to the frame that was on top when
+its check ran.  Assertions only grow until that frame is popped, so the
+bound stays implied: each later check applies it before propagating and
+does not walk the refuted values again (the checks of one MCS cardinality
+level, which only add blocking clauses, gain most).  Every check answers
+as a fresh solver would; only its model may differ.  Soft constraints are
+guarded by 0/1 selector variables, which callers constrain with ordinary
+formulas through :meth:`Solver.assert_hard`; unfixed selectors are
+decision variables searched after the integers.
 
 A Solver instance must be used from one thread at a time; independent
 instances are fully isolated.
@@ -71,7 +80,11 @@ class Selector(NamedTuple):
 
 
 class Sat(NamedTuple):
-    """A satisfying assignment plus the selectors it left disabled."""
+    """A satisfying assignment plus the selectors it left disabled.
+
+    After a learned bound the model may differ from the one a fresh
+    solver over the same assertions would find; no report reads it.
+    """
 
     model: dict
     disabled: frozenset  # selector ids whose guard variable is 0
@@ -116,6 +129,7 @@ class Solver:
         self.watchers: list = []  # idx -> props that watch it
         self.selectors: list = []
         self.trail: list = []  # (idx, is_hi, old value)
+        self.learned: list = []  # (idx, lower bound) proved by a check in a live frame
         self.frames: list = []
         self.queue: deque = deque()
         self.stats = {"checks": 0, "propagations": 0, "assertions": 0}
@@ -143,7 +157,8 @@ class Solver:
     # -- frames ---------------------------------------------------------------
 
     def push(self) -> int:
-        self.frames.append((len(self.props), len(self.names), len(self.selectors)))
+        self.frames.append(
+            (len(self.props), len(self.names), len(self.selectors), len(self.learned)))
         return len(self.frames)
 
     def pop(self, frame_id: Optional[int] = None) -> None:
@@ -153,8 +168,9 @@ class Solver:
             frame_id = len(self.frames)
         if not 1 <= frame_id <= len(self.frames):
             raise SolverUsageError(f"pop targets dead frame {frame_id}")
-        props_len, vars_len, sels_len = self.frames[frame_id - 1]
+        props_len, vars_len, sels_len, learned_len = self.frames[frame_id - 1]
         del self.frames[frame_id - 1 :]
+        del self.learned[learned_len:]
         for p in reversed(self.props[props_len:]):
             for v in p.watch_idxs:
                 top = self.watchers[v].pop()
@@ -387,7 +403,8 @@ class Solver:
         """Search for a model of the current assertions.
 
         The solver's observable state is untouched by the call, also when
-        the search raises; only the statistics advance.
+        the search raises, except that the statistics advance and a check
+        that finds a model may add a learned bound to the top frame.
         """
         self.stats["checks"] += 1
         mark = len(self.trail)
@@ -396,7 +413,8 @@ class Solver:
                 p.queued = True
                 self.queue.append(p)
         try:
-            if not (self._propagate_all() and self._dfs()):
+            if not (all(self._set_lo(idx, v) for idx, v in self.learned)
+                    and self._propagate_all() and self._dfs(first=True)):
                 return UNSAT
             model = {}
             disabled = []
@@ -429,7 +447,7 @@ class Solver:
                 return idx
         return None
 
-    def _dfs(self) -> bool:
+    def _dfs(self, first: bool = False) -> bool:
         idx = self._pick_var()
         if idx is None:
             return True
@@ -440,6 +458,9 @@ class Solver:
             ok = self._set_lo(idx, v) and self._set_hi(idx, v)
             if ok:
                 if self._propagate_all() and self._dfs():
+                    if first and v > lo0 and not self.is_sel[idx]:
+                        # every smaller value was refuted: idx >= v holds in this frame
+                        self.learned.append((idx, v))
                     return True
             else:
                 self._drain_failed()

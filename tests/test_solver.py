@@ -13,6 +13,7 @@ from faultlines.formulas import (
     Or,
     SsaName,
     eval_formula,
+    formula_vars,
 )
 from faultlines.frontend import SourceLoc
 from faultlines.solver import UNSAT, DomainConfig, Solver, SolverUsageError
@@ -130,6 +131,8 @@ def test_check_that_raises_leaves_the_state_as_it_was():
         s.assert_hard(Atom("<=", var("x", i), var("x", i + 1)))
     fid = s.push()
     s.assert_hard(Atom(">=", var("x", 59), const(0)))
+    # x59 = 0 is refuted before the search raises at x59 = 1
+    s.assert_hard(Or((Atom(">=", var("x", 0), const(1)), Atom(">=", var("x", 59), const(1)))))
     before = (list(s.lo), list(s.hi))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_depth() + 20)
@@ -138,7 +141,7 @@ def test_check_that_raises_leaves_the_state_as_it_was():
             s.check()
     finally:
         sys.setrecursionlimit(limit)
-    assert (s.lo, s.hi, s.trail, list(s.queue)) == (*before, [], [])
+    assert (s.lo, s.hi, s.trail, list(s.queue), s.learned) == (*before, [], [], [])
     s.pop(fid)
     fresh = Solver(SMALL)
     for i in range(59):
@@ -391,6 +394,94 @@ def test_linear_propagation_is_pinned(hard, model, propagations):
     assert s.stats["propagations"] == propagations
 
 
+# --- learned bounds -------------------------------------------------------------
+
+
+def _state(s):
+    return (list(s.names), dict(s.ids), list(s.lo), list(s.hi), list(s.is_sel), list(s.props),
+            [list(w) for w in s.watchers], list(s.selectors), list(s.learned), list(s.frames),
+            list(s.trail), list(s.queue))
+
+
+def _learned(s):
+    return [(s.names[idx], v) for idx, v in s.learned]
+
+
+def _x_equals_y_or_y_plus_2(s):
+    # bounds propagation leaves x in [-2, 4]: search refutes x = -2 .. 0
+    s.assert_hard(eq(var("x") + var("y"), const(2)))
+    s.assert_hard(Or((eq(var("x"), var("y")), eq(var("x"), var("y") + const(2)))))
+
+
+def test_second_check_starts_from_the_learned_bound():
+    s = Solver(SMALL)
+    _x_equals_y_or_y_plus_2(s)
+    assert s.check().model == {X0: 1, Y0: 1}
+    assert (_learned(s), s.stats["propagations"]) == ([(X0, 1)], 12)
+    s.assert_hard(_ne(var("x"), const(1)))
+    assert s.check().model == {X0: 2, Y0: 0}
+    assert (_learned(s), s.stats["propagations"]) == ([(X0, 1)], 12 + 8)
+    fresh = Solver(SMALL)
+    _x_equals_y_or_y_plus_2(fresh)
+    fresh.assert_hard(_ne(var("x"), const(1)))
+    assert fresh.check().model == {X0: 2, Y0: 0}
+    assert (_learned(fresh), fresh.stats["propagations"]) == ([(X0, 2)], 17)
+
+
+def test_a_bound_learned_in_a_frame_goes_with_it():
+    s = Solver(SMALL)
+    s.assert_hard(eq(var("x") + var("y"), const(2)))
+    before = _state(s)
+    fid = s.push()
+    s.assert_hard(Or((eq(var("x"), var("y")), eq(var("x"), var("y") + const(2)))))
+    assert s.check().model == {X0: 1, Y0: 1}
+    assert _learned(s) == [(X0, 1)]
+    s.pop(fid)
+    assert _state(s) == before
+    s.assert_hard(Atom("<", var("x"), const(1)))  # holds only below the bound
+    assert s.check().model == {X0: -2, Y0: 4}
+
+
+def test_no_bound_is_learned_on_a_selector():
+    # selectors are labelled 1 before 0: an enabled first decision refutes nothing
+    s = Solver(SMALL)
+    s.assert_hard(eq(var("x"), const(1)))
+    sel = s.assert_soft(soft(0, eq(var("x"), const(1))))
+    assert s.check().disabled == frozenset()
+    s.assert_hard(eq(enabled(sel), const(0)))
+    assert s.check().disabled == {0}
+    assert s.learned == []
+
+
+def test_learned_bounds_keep_every_answer_of_a_check_sequence():
+    # each step may pop or push a frame, then adds a formula and checks
+    rng = np.random.default_rng(5)
+    learned = 0
+    for _ in range(120):
+        s = Solver(SMALL)
+        frames = [[]]  # the live formulas of each frame
+        for f in _random_conjunction(rng, max_vars=3, max_atoms=9):
+            roll = rng.random()
+            if roll < 0.25 and len(frames) > 1:
+                s.pop()
+                frames.pop()
+            elif roll < 0.5:
+                s.push()
+                frames.append([])
+            s.assert_hard(f)
+            frames[-1].append(f)
+            live = [g for frame in frames for g in frame]
+            got = s.check()
+            learned += len(s.learned)
+            assert (got is UNSAT) == (exhaustive_sat(live, SMALL) is None), live
+            if got is not UNSAT:
+                # a name whose coefficients cancel is never registered: any value works
+                model = {n: SMALL.lo for f in live for n in formula_vars(f)}
+                model.update(got.model)
+                assert all(eval_formula(g, model) for g in live), live
+    assert learned >= 40  # bounds were live at that many checks
+
+
 # --- properties -----------------------------------------------------------------
 
 
@@ -412,8 +503,6 @@ def test_check_agrees_with_exhaustive_enumeration():
         if got is not UNSAT:
             # variables whose coefficients cancel inside every atom are never
             # registered; any value works for them when re-evaluating
-            from faultlines.formulas import formula_vars
-
             names = set().union(*(formula_vars(f) for f in formulas))
             model = {n: SMALL.lo for n in names}
             model.update(got.model)
