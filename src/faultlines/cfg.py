@@ -283,27 +283,6 @@ def iter_assignments(cfg: Cfg):
     return sorted(out, key=lambda a: a.constraint.id)
 
 
-def enumerate_paths(cfg: Cfg, limit: int = 2**10):
-    """Yield every entry-to-exit path as a list of node ids (DFS order)."""
-    count = 0
-
-    def rec(nid, acc):
-        nonlocal count
-        acc = acc + [nid]
-        if nid == cfg.exit:
-            count += 1
-            if count > limit:
-                raise CfgError(f"more than {limit} paths")
-            yield acc
-            return
-        out = cfg.edges[nid]
-        for label in (THEN, ELSE, NEXT):
-            if label in out:
-                yield from rec(out[label], acc)
-
-    yield from rec(cfg.entry, [])
-
-
 # ---------------------------------------------------------------------------
 # DOT rendering
 # ---------------------------------------------------------------------------

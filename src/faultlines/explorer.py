@@ -10,10 +10,11 @@ Given a DSA-form graph and a failing input, the runner
 3. flips up to `b_cond` decisions, level by level in lexicographic
    order over the decision order.  A flip set is only extended by a
    decision its own path reaches after its last flip, and that
-   execution resumes at the new flip from a snapshot taken there.  The
-   other candidates run exactly like a path already executed, so they
-   are counted, not executed: as unreached when a requested decision is
-   never met, or as overflowed when that path left the domain box.  An
+   execution resumes at the new flip from the path's own trace: the
+   path is the same up to there.  The other candidates run exactly like
+   a path already executed, so they are counted, not executed: as
+   overflowed when that path left the domain box, and as unreached
+   otherwise, which is what the count of all flip sets leaves over.  An
    executed candidate is dropped without solving when its last flipped
    decision already corrected the program at an equal or lower
    deviation level (condition marking), or when it extends an explored
@@ -37,6 +38,7 @@ propagations are identical, only the assertion counter differs.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -62,12 +64,11 @@ class DeviationUnreachedError(ExplorerError):
 
 
 class OverflowAbandonedError(ExplorerError):
-    def __init__(self, name, value, dom, visited=(), snapshots=()):
+    def __init__(self, name, value, dom, trace=None):
         super().__init__(f"{name} = {value} escapes the domain box [{dom.lo}, {dom.hi}]")
         self.name = name
         self.value = value
-        self.visited = tuple(visited)  # decisions reached before the overflow
-        self.snapshots = tuple(snapshots)  # as PathTrace.snapshots, up to the overflow
+        self.trace = trace  # the path up to the overflow; None for an input
 
 
 class Counterexample(NamedTuple):
@@ -113,31 +114,13 @@ class DecisionStep(NamedTuple):
     deviated: bool
 
 
-class Snapshot(NamedTuple):
-    """A path's state on arrival at decision `node`, before its guard is read.
-
-    The prefix lists belong to the path that took the snapshot and only
-    grow at their ends, so their first `depth` decisions and `depth + 1`
-    segments stay as they were on arrival.
-    """
-
-    node: str
-    depth: int
-    model: dict
-    decisions: list
-    segments: list
-
-
-class PathTrace:
-    __slots__ = ("decisions", "segments", "final_model", "snapshots")
-
-    def __init__(self, decisions, segments, final_model: dict, snapshots=()):
-        self.decisions = decisions
-        # the soft constraints in path order, in len(decisions)+1 groups;
-        # segments[i] precedes decision i
-        self.segments = segments
-        self.final_model = final_model
-        self.snapshots = snapshots  # one per decision reached after the last flip, in path order
+class PathTrace(NamedTuple):
+    decisions: tuple
+    # the soft constraints in path order, in len(decisions)+1 groups;
+    # segments[i] precedes decision i
+    segments: tuple
+    # the inputs, then each version in the order the path assigns it
+    final_model: dict
 
 
 class DeviatedCondition(NamedTuple):
@@ -202,13 +185,15 @@ def propagate(
     deviations: Iterable[str] = (),
     dom: DomainConfig = DomainConfig(),
     *,
-    resume: Optional[Snapshot] = None,
+    resume: Optional[tuple[PathTrace, int]] = None,
 ) -> PathTrace:
     """Concrete forward execution, flipping the decisions in `deviations`.
 
-    With `resume`, execution starts at that snapshot's decision instead of
-    the entry; the snapshot must come from a path that flips the other
-    `deviations` and reaches it.
+    With `resume=(path, i)`, execution starts at decision step `i` of an
+    earlier trace that flips the other `deviations`, none after step `i`.
+    The state there is the path's prefix: `i` steps, `i + 1` segment
+    groups, and the model entries of the inputs and of those groups'
+    assignments, as no version is assigned twice on a path.
 
     Raises DeviationUnreachedError when a requested decision is not on
     the resulting path and OverflowAbandonedError when a computed value
@@ -224,26 +209,18 @@ def propagate(
         segments: list = [[]]
         nid = cfg.entry
     else:
-        model = dict(resume.model)
-        decisions = resume.decisions[: resume.depth]
+        path, i = resume
+        decisions = list(path.decisions[:i])
         # the shared groups are complete: a new one opens at this decision
-        segments = resume.segments[: resume.depth + 1]
-        nid = resume.node
-    snapshots: list = []
+        segments = list(path.segments[: i + 1])
+        model = dict(islice(path.final_model.items(), len(ce.items) + sum(map(len, segments))))
+        nid = path.decisions[i].node
     while nid != cfg.exit:
         node = cfg.nodes[nid]
         if isinstance(node, Decision):
             deviated = nid in deviations
-            if deviated:
-                snapshots.clear()
-            else:
-                snapshots.append(
-                    Snapshot(nid, len(decisions), dict(model), decisions, segments)
-                )
-            value = eval_formula(node.guard, model)
-            taken = THEN if value else ELSE
-            if deviated:
-                taken = ELSE if taken == THEN else THEN
+            # a flipped decision takes the branch its guard value does not
+            taken = THEN if eval_formula(node.guard, model) != deviated else ELSE
             decisions.append(DecisionStep(nid, taken, deviated))
             segments.append([])
             nid = cfg.edges[nid][taken]
@@ -251,20 +228,15 @@ def propagate(
         for a in node.assignments:
             value = a.rhs.eval(model)
             if not dom.lo <= value <= dom.hi:
-                visited = (s.node for s in decisions)
-                raise OverflowAbandonedError(a.target, value, dom, visited, snapshots)
+                trace = PathTrace(tuple(decisions), tuple(map(tuple, segments)), model)
+                raise OverflowAbandonedError(a.target, value, dom, trace)
             model[a.target] = value
             segments[-1].append(a.constraint)
         nid = cfg.edges[nid][NEXT]
     missing = deviations - {s.node for s in decisions}
     if missing:
         raise DeviationUnreachedError(missing)
-    return PathTrace(
-        decisions=tuple(decisions),
-        segments=tuple(tuple(seg) for seg in segments),
-        final_model=model,
-        snapshots=tuple(snapshots),
-    )
+    return PathTrace(tuple(decisions), tuple(map(tuple, segments)), model)
 
 
 def path_satisfies_post(trace: PathTrace, cfg: Cfg) -> bool:
@@ -383,16 +355,14 @@ def diagnose(
 # ---------------------------------------------------------------------------
 
 
-def _skipped(n: int, b: int, flips: int, reached: int, own: bool) -> int:
-    """How many flip sets a path decides without executing them.
+def _overflowed(n: int, b: int, flips: int, reached: int) -> int:
+    """How many flip sets overflow where a path of `flips` flips did.
 
     A set of at most `b` of the `n` decisions that adds to the path's
-    `flips` only decisions outside the `reached` ones runs exactly like
-    the path: it is unreached, or overflows where the path did.  `own`
-    counts the path's own flip set as well.
+    flips only decisions outside the `reached` ones runs exactly like
+    the path, the path's own flip set included.
     """
-    first = flips if own else flips + 1
-    return sum(comb(n - reached, d - flips) for d in range(first, b + 1))
+    return sum(comb(n - reached, d - flips) for d in range(flips, b + 1))
 
 
 def run(
@@ -416,30 +386,29 @@ def run(
 
     n = len(cfg.decision_order)
     b = min(config.b_cond, n)
-    stats.rejected_unreached += _skipped(n, b, 0, len(trace0.decisions), own=False)
     marks: dict = {}
-    # (flip set, snapshots after its last flip, whether it or a flip set
-    # it extends was explored); decisions are numbered depth-first, so a
-    # path meets them in decision order and the flip sets of each level
-    # come out in lexicographic order
-    frontier = [((), trace0.snapshots, False)]
+    # (flip set, its path, the first step after its last flip, whether it
+    # or a flip set it extends was explored); decisions are numbered
+    # depth-first, so a path meets them in decision order and the flip
+    # sets of each level come out in lexicographic order
+    frontier = [((), trace0, 0, False)]
     for d in range(1, b + 1):
         children = []
-        for flips, snapshots, extends_explored in frontier:
-            for snap in snapshots:
-                candidate = flips + (snap.node,)
+        for flips, path, start, extends_explored in frontier:
+            for i in range(start, len(path.decisions)):
+                node = path.decisions[i].node
+                candidate = flips + (node,)
                 try:
-                    trace = propagate(cfg, ce, candidate, config.dom, resume=snap)
+                    trace = propagate(cfg, ce, candidate, config.dom, resume=(path, i))
                 except OverflowAbandonedError as e:
-                    stats.overflow_abandoned += _skipped(n, b, d, len(e.visited), own=True)
-                    children.append((candidate, e.snapshots, extends_explored))
+                    stats.overflow_abandoned += _overflowed(n, b, d, len(e.trace.decisions))
+                    children.append((candidate, e.trace, i + 1, extends_explored))
                     continue
-                stats.rejected_unreached += _skipped(n, b, d, len(trace.decisions), own=False)
-                if marks.get(snap.node, b + 1) <= d:
+                marked = marks.get(node, b + 1) <= d
+                children.append((candidate, trace, i + 1, extends_explored or not marked))
+                if marked:
                     stats.rejected_marked += 1
-                    children.append((candidate, trace.snapshots, extends_explored))
                     continue
-                children.append((candidate, trace.snapshots, True))
                 if extends_explored:
                     stats.rejected_prefix += 1
                     continue
@@ -447,10 +416,15 @@ def run(
                 if path_satisfies_post(trace, cfg):
                     diagnoses.append(diagnose(trace, cfg, ce, config, backend=backend))
                     stats.mcs_enumerations += 1
-                    marks.setdefault(snap.node, d)
+                    marks.setdefault(node, d)
                 else:
                     stats.paths_ignored += 1
         frontier = children
+    # each flip set of at most b decisions is counted once: the rest are unreached
+    stats.rejected_unreached = (
+        sum(comb(n, d) for d in range(1, b + 1))
+        - stats.overflow_abandoned - stats.rejected - (stats.paths_explored - 1)
+    )
 
     totals = backend.solver.stats
     stats.solver_checks = totals["checks"]

@@ -242,17 +242,6 @@ def negate(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_vars(f: Formula) -> set:
-    if isinstance(f, Atom):
-        return set(f.lhs.names) | set(f.rhs.names)
-    if isinstance(f, (And, Or)):
-        out: set = set()
-        for i in f.items:
-            out |= formula_vars(i)
-        return out
-    return set()
-
-
 def eval_formula(f: Formula, model: Mapping[SsaName, int]) -> bool:
     """Evaluate under a total assignment; raises UnboundVariableError."""
     if isinstance(f, Atom):

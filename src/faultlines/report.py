@@ -16,7 +16,7 @@ from .mcs import ALREADY_SAT, HARD_UNSAT
 SCHEMA_VERSION = 1
 
 SYNTHETIC_NOTE = "possible missing assignment in this branch"
-HARD_UNSAT_NOTE = "no assignment repair: the requirement already contradicts the inputs"
+HARD_UNSAT_NOTE = "no assignment repair: with these inputs the requirement has no solution in the domain box"
 ALREADY_SAT_NOTE = "path constraints are satisfiable: nothing to correct"
 
 def _member_note(c: Constraint):

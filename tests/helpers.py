@@ -31,11 +31,11 @@ from faultlines.formulas import (
     SsaName,
     UnboundVariableError,
     eval_formula,
-    formula_vars,
     negate,
 )
 from faultlines.frontend import CMP_EVAL, Function, parse_program, typecheck
 from faultlines.solver import DomainConfig
+from reference import formula_vars
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"

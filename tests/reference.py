@@ -2,12 +2,16 @@
 
 :func:`pretty` re-prints a program in canonical form, every operator
 fully parenthesised, so the text shows how the parser grouped it and
-parses back to an equal AST (locations aside).  This module imports no
-numpy, so a process that needs only these functions does not load it.
+parses back to an equal AST (locations aside).  :func:`enumerate_paths`
+lists a graph's entry-to-exit paths and :func:`formula_vars` the names a
+formula reads.  This module imports no numpy, so a process that needs
+only these functions does not load it.
 """
 
 from __future__ import annotations
 
+from faultlines.cfg import ELSE, NEXT, THEN, Cfg, CfgError
+from faultlines.formulas import And, Atom, Formula, Or
 from faultlines.frontend import (
     Arith,
     Assign,
@@ -83,3 +87,35 @@ def pretty(fn: Function) -> str:
     lines.extend(_p_stmts(fn.body, "  "))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def enumerate_paths(cfg: Cfg, limit: int = 2**10):
+    """Yield every entry-to-exit path as a list of node ids (DFS order)."""
+    count = 0
+
+    def rec(nid, acc):
+        nonlocal count
+        acc = acc + [nid]
+        if nid == cfg.exit:
+            count += 1
+            if count > limit:
+                raise CfgError(f"more than {limit} paths")
+            yield acc
+            return
+        out = cfg.edges[nid]
+        for label in (THEN, ELSE, NEXT):
+            if label in out:
+                yield from rec(out[label], acc)
+
+    yield from rec(cfg.entry, [])
+
+
+def formula_vars(f: Formula) -> set:
+    if isinstance(f, Atom):
+        return set(f.lhs.names) | set(f.rhs.names)
+    if isinstance(f, (And, Or)):
+        out: set = set()
+        for i in f.items:
+            out |= formula_vars(i)
+        return out
+    return set()

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from faultlines.cfg import Block, enumerate_paths
+from faultlines.cfg import Block
 from faultlines.explorer import Counterexample, path_satisfies_post, propagate, run
-from faultlines.formulas import eval_formula, formula_vars
+from faultlines.formulas import eval_formula
 from faultlines.frontend import interpret
 from faultlines.mcs import McsConfig, enumerate_mcs
 from faultlines.report import report_document
@@ -30,6 +30,7 @@ from helpers import (
     random_formula,
     random_system,
 )
+from reference import enumerate_paths, formula_vars
 
 SMALL = DomainConfig(-4, 4)
 

@@ -10,7 +10,6 @@ from faultlines.cfg import (
     NEXT,
     THEN,
     build_cfg,
-    enumerate_paths,
     iter_assignments,
     render_dot,
 )
@@ -20,6 +19,7 @@ from faultlines.frontend import interpret, parse_program
 from faultlines.solver import DomainConfig
 
 from helpers import CORPUS, ROOT, compile_source, corpus_entry, corpus_manifest, random_program
+from reference import enumerate_paths, formula_vars
 
 WIDE = DomainConfig(-(2**40), 2**40)
 
@@ -216,8 +216,6 @@ def _check_semantics_preserved(fn, g):
 
 
 def _final_result_name(g):
-    from faultlines.formulas import formula_vars
-
     candidates = [
         n for n in formula_vars(g.postcondition) if n.base == g.result_var and n.version > 0
     ]

@@ -57,6 +57,28 @@ def test_corpus_json_fixtures(capsys, name):
     assert out.encode("utf-8") == (CORPUS / "expected" / f"{name}.json").read_bytes()
 
 
+HARD_UNSAT_LINE = "  no assignment repair: with these inputs the requirement has no solution in the domain box"
+
+
+def test_hard_unsat_note_names_the_domain_box(capsys, tmp_path):
+    src = tmp_path / "plusone.src"
+    src.write_text("/*@ ensures \\result == x + 1; */\nint f (int x) {\n  int y = x;\n  return y;\n}\n")
+    # the required result 4 lies outside [-1, 3]
+    code, out, _ = run_cli(capsys, "run", str(src), "--in", "x=3", "--domain=-1:3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("  path: (no decisions)") + 1] == HARD_UNSAT_LINE
+    # inside the default box the assignment is the repair
+    code, out, _ = run_cli(capsys, "run", str(src), "--in", "x=3")
+    assert code == 0 and HARD_UNSAT_LINE not in out.splitlines()
+    assert "    - line 3: y_0 = x_0 [assignment]" in out.splitlines()
+    # flipping `x > 10` at x = 10 contradicts the input itself
+    code, out, _ = run_cli(capsys, *corpus_args("atleastten"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("  path: d7:then*") + 1] == HARD_UNSAT_LINE
+
+
 # --- json schema and round-trip -----------------------------------------------------
 
 

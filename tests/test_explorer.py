@@ -1,6 +1,7 @@
 import hashlib
 import json
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -155,61 +156,71 @@ def test_overflow_error_carries_decisions_reached_before_it():
     dom = DomainConfig(-8, 8)
     with pytest.raises(OverflowAbandonedError) as e:
         propagate(g, ce_for(fn, {"x": 5}), (), dom)
-    assert e.value.visited == (first, second)
+    assert [s.node for s in e.value.trace.decisions] == [first, second]
     with pytest.raises(OverflowAbandonedError) as e:
         propagate(g, ce_for(fn, {"x": 9}), (), dom)  # the input itself
-    assert e.value.visited == ()
+    assert e.value.trace is None
     # flipping the second decision skips the overflowing assignment
     assert len(propagate(g, ce_for(fn, {"x": 5}), {second}, dom).decisions) == 3
 
 
 def _resume_cases():
+    """(name, graph, counterexample, domain, most flips) of each resume case."""
     for name in sorted(corpus_manifest()):
         text, ce_map, entry = corpus_entry(name)
         fn, g = compile_source(text)
-        yield name, g, ce_for(fn, ce_map), config_from_args(entry["args"]).dom
+        yield name, g, ce_for(fn, ce_map), config_from_args(entry["args"]).dom, None
     text = (ROOT / "perfbench" / "tritype" / "tritype.src").read_text()
     fn, g = compile_source(text)
     for inputs in ({"i": 1, "j": 2, "k": 1}, {"i": 2, "j": 3, "k": 4}, {"i": 1, "j": 1, "k": 1}):
-        yield "tritype", g, ce_for(fn, inputs), DomainConfig(-128, 127)
+        yield "tritype", g, ce_for(fn, inputs), DomainConfig(-128, 127), None
     fn, g = compile_source(OVERFLOW_LATE)
-    yield "overflow_late", g, ce_for(fn, {"x": -5}), DomainConfig(-8, 8)
+    yield "overflow_late", g, ce_for(fn, {"x": -5}), DomainConfig(-8, 8), None
+    # nested joins and synthetic copies; inputs that may already overflow
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        fn, g = compile_source(random_program(rng, max_depth=3))
+        ce = ce_for(fn, {p: int(rng.integers(-6, 7)) for p in fn.param_names})
+        yield f"random/{seed}", g, ce, DomainConfig(-12, 12), 3
 
 
 def test_resumed_trace_equals_propagate_from_entry():
     # every flip set whose flips are all reached, grown as `run` grows them
     seen, overflowed = 0, 0
-    for name, g, ce, dom in _resume_cases():
+    for name, g, ce, dom, most in _resume_cases():
         order = {nid: i for i, nid in enumerate(g.decision_order)}
-        frontier = [((), propagate(g, ce, (), dom).snapshots)]
-        while frontier:
+        try:
+            path = propagate(g, ce, (), dom)
+        except OverflowAbandonedError as e:  # flips before the overflow may avoid it
+            path = e.trace
+        frontier = [((), path, 0)]
+        for _ in range(most or len(order)):
             children = []
-            for flips, snapshots in frontier:
-                for snap in snapshots:
-                    flips2 = flips + (snap.node,)
+            for flips, path, start in frontier:
+                for i in range(start, len(path.decisions)):
+                    flips2 = flips + (path.decisions[i].node,)
                     try:
-                        got = propagate(g, ce, flips2, dom, resume=snap)
+                        got = propagate(g, ce, flips2, dom, resume=(path, i))
                     except OverflowAbandonedError as e:
                         overflowed += 1
                         with pytest.raises(OverflowAbandonedError) as from_entry:
                             propagate(g, ce, flips2, dom)
                         got, want = e, from_entry.value
                         assert str(got) == str(want), (name, flips2)
-                        assert got.visited == want.visited, (name, flips2)
-                        assert [x.node for x in got.snapshots] == [x.node for x in want.snapshots]
-                        children.append((flips2, got.snapshots))
+                        assert got.trace == want.trace, (name, flips2)
+                        children.append((flips2, got.trace, i + 1))
                         continue
                     seen += 1
                     want = propagate(g, ce, flips2, dom)
                     assert got.decisions == want.decisions, (name, flips2)
                     assert got.segments == want.segments, (name, flips2)
                     assert got.final_model == want.final_model, (name, flips2)
-                    assert [x.node for x in got.snapshots] == [x.node for x in want.snapshots]
+                    assert list(got.final_model) == list(want.final_model), (name, flips2)
                     path_order = [order[x.node] for x in got.decisions]
                     assert path_order == sorted(path_order), (name, flips2)
-                    children.append((flips2, got.snapshots))
+                    children.append((flips2, got, i + 1))
             frontier = children
-    assert seen >= 50 and overflowed >= 1
+    assert seen >= 500 and overflowed >= 200
 
 
 def test_path_satisfies_post_identity():
@@ -533,6 +544,7 @@ def test_tritype_mutant_reports_are_pinned():
         propagations = doc["statistics"].pop("solver_propagations")
         body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
         stats = report.stats
+        _assert_each_flip_set_counted_once(stats, g, config.b_cond)
         got[name] = (hashlib.sha256(body).hexdigest()[:16], stats.solver_checks,
                      stats.solver_assertions, stats.mcs_enumerations)
         assert propagations <= TRITYPE_PINS[name][4], name
@@ -551,12 +563,20 @@ def test_run_is_deterministic():
     assert first == second
 
 
+def _assert_each_flip_set_counted_once(stats, g, b_cond):
+    n = len(g.decision_order)
+    flip_sets = sum(comb(n, d) for d in range(1, min(b_cond, n) + 1))
+    assert flip_sets == (stats.paths_explored - 1 + stats.rejected + stats.rejected_unreached
+                         + stats.overflow_abandoned)
+
+
 def _outcome(explore, g, ce, config):
     # the report prints only the sum of the two rejection counters
     try:
         report = explore(g, ce, config)
     except (NothingToLocalizeError, OverflowAbandonedError) as e:
         return type(e).__name__, str(e)
+    _assert_each_flip_set_counted_once(report.stats, g, config.b_cond)
     return render_json(report), report.stats.rejected_marked, report.stats.rejected_prefix
 
 

@@ -15,7 +15,6 @@ from faultlines.formulas import (
     assign_to_constraint,
     bool_expr_to_formula,
     eval_formula,
-    formula_vars,
     linterm_from_expr,
     negate,
 )
@@ -23,6 +22,7 @@ from faultlines import frontend as fe
 from faultlines.frontend import SourceLoc, parse_program
 
 from helpers import eval_formula_grid
+from reference import formula_vars
 
 K0 = SsaName("k", 0)
 K1 = SsaName("k", 1)

@@ -13,12 +13,12 @@ from faultlines.formulas import (
     Or,
     SsaName,
     eval_formula,
-    formula_vars,
 )
 from faultlines.frontend import SourceLoc
 from faultlines.solver import UNSAT, DomainConfig, Solver, SolverUsageError
 
 from helpers import exhaustive_sat, random_formula
+from reference import formula_vars
 
 LOC = SourceLoc(1, 1)
 SMALL = DomainConfig(-4, 4)
